@@ -4,30 +4,25 @@ into per-graph reports.
 Lower bounds scan candidate vertex subsets (connected components, small BFS
 balls, user-supplied sets): any connected subset yields a valid bound, so the
 heuristic subset pool is sound, merely possibly loose. Upper bounds evaluate
-the printed ceiling formulas of the constructions this package implements,
-and a report can cross-validate each constructive bound by actually building
-the embedding and certifying it.
+the ceiling rules of ``construct.CONSTRUCTIONS``, and a report can
+cross-validate each constructive bound by building the embedding from the
+same table row and certifying it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .config import DEFAULT_LIMITS, Limits
-from .graph import (
-    Graph,
-    bfs_distances,
-    connected_components,
-    diameter,
-    quotient_by_neighborhood,
-    spectrum_top2,
-)
+from .construct import BY_TAG, CONSTRUCTIONS
+from .graph import Graph, bfs_distances, connected_components, diameter
 from .partition import (
     SearchBudgetExceeded,
     clique_cover,
+    gated_clique_cover,
     greedy_coloring_size,
     independence_number,
     neighborhood_class_count,
@@ -47,10 +42,6 @@ __all__ = [
     "report_to_json",
     "format_report",
 ]
-
-LOG2_3 = math.log2(3.0)
-LOG2_5 = math.log2(5.0)
-
 
 @dataclass(frozen=True)
 class LowerBound:
@@ -180,140 +171,29 @@ def lower_neighborhood(
 # -- upper bound formulas --------------------------------------------------------
 
 
-def _class_counts_per_block(g: Graph, blocks) -> int:
-    worst = 1
-    for block in blocks:
-        worst = max(worst, len({g.closed_row(v) for v in block}))
-    return worst
-
-
 def upper_bounds(
     g: Graph,
     alpha: float,
     limits: Limits = DEFAULT_LIMITS,
 ) -> tuple[list[UpperBound], list[tuple[str, str]]]:
-    """Evaluate every applicable printed upper-bound formula.
+    """Evaluate every applicable ceiling rule of the construction table.
 
     The clique-partition size enters upper formulas, so a greedy (over-)count
     is still valid when the graph is too large for the exact cover.
     """
     if not 0 < alpha < 2:
         raise ValueError("upper bounds cover alpha in (0, 2)")
-    part = clique_cover(g, mode="exact" if g.n <= limits.exact_cover else "greedy")
-    m = part.size
-    c_size = neighborhood_class_count(g)
+    cover = gated_clique_cover(g, limits.exact_cover)
     ups: list[UpperBound] = []
     omitted: list[tuple[str, str]] = []
-
-    ups.append(
-        UpperBound(
-            "shortest_path",
-            float(int_ceil(math.log2(g.n))) if g.n > 1 else 0.0,
-            constructive=True,
-        )
-    )
-
-    if alpha < 1:
-        v = (
-            float(int_ceil(LOG2_3 * int_ceil(math.log(m) / math.log(int_ceil(1 / alpha)))))
-            if m > 1
-            else 0.0
-        )
-        ups.append(UpperBound("linf_collapse", v, constructive=True))
-    else:
-        omitted.append(("linf_collapse", "needs alpha < 1"))
-
-    if alpha == 1:
-        ups.append(
-            UpperBound(
-                "pseudo_metric",
-                float(int_ceil(math.log2(m) + LOG2_3)),
-                constructive=True,
-                note="limit realization of the (1, 2) construction",
-            )
-        )
-    elif alpha > 1:
-        big_k = _class_counts_per_block(g, part.blocks)
-        m0 = int_ceil(1.0 / (alpha - 1.0))
-        inner = int_ceil(math.log(big_k) / math.log(m0)) if big_k > 1 else 0
-        v = float(int_ceil(math.log2(m) + LOG2_3 * inner)) if (m > 1 or inner) else 0.0
-        ups.append(UpperBound("pseudo_metric", v, constructive=True))
-    else:
-        omitted.append(("pseudo_metric", "needs alpha >= 1"))
-
-    if alpha >= 1:
-        ups.append(
-            UpperBound(
-                "linf_quotient", float(int_ceil(LOG2_3 * c_size)), constructive=True
-            )
-        )
-    else:
-        omitted.append(("linf_quotient", "collapse bound already applies below 1"))
-
-    if alpha < 1 / math.sqrt(2):
-        inner = int_ceil(4.0 * math.log(m + 1) / (2.0 - 4.0 * alpha * alpha))
-        ups.append(
-            UpperBound(
-                "l2_ball_collapse", float(int_ceil(LOG2_5 * inner)), constructive=True
-            )
-        )
-    else:
-        omitted.append(("l2_ball_collapse", "needs alpha < 1/sqrt(2)"))
-
-    if 1 / math.sqrt(3) < alpha < 1:
-        ratio = (1.0 + alpha * alpha) / (1.0 - alpha * alpha)
-        inner = int_ceil(12.0 * ratio * ratio * math.log(m)) if m > 1 else 0
-        ups.append(
-            UpperBound(
-                "l2_simplex_jl", float(int_ceil(LOG2_5 * inner)), constructive=True
-            )
-        )
-    elif alpha < 1:
-        omitted.append(("l2_simplex_jl", "needs alpha in (1/sqrt(3), 1)"))
-    else:
-        omitted.append(("l2_simplex_jl", "needs alpha < 1"))
-
-    if alpha >= 1:
-        quotient = quotient_by_neighborhood(g)
-        if quotient.edge_count == 0:
-            omitted.append(("l2_spectral", "quotient has no edges"))
+    for row in CONSTRUCTIONS:
+        if row.ceiling is None:
+            continue
+        value, text = row.ceiling(g, alpha, cover)
+        if value is None:
+            omitted.append((row.tag, text))
         else:
-            lam = spectrum_top2(quotient)[0]
-            ceiling = math.inf if lam <= 1 else (1.0 - 1.0 / (4.0 * lam)) ** -0.5
-            if alpha < ceiling:
-                inner = min(int_ceil(192.0 * lam * lam * math.log(c_size)), c_size - 1)
-                ups.append(
-                    UpperBound(
-                        "l2_spectral",
-                        float(int_ceil(LOG2_5 * inner)),
-                        constructive=True,
-                    )
-                )
-            else:
-                omitted.append(
-                    ("l2_spectral", f"alpha >= (1 - 1/(4 lambda))^-1/2 = {ceiling:.6f}")
-                )
-    else:
-        omitted.append(("l2_spectral", "spectral route targets alpha >= 1"))
-
-    degs = set(g.degrees())
-    if len(degs) == 1 and g.n > 1:
-        k = degs.pop()
-        if k >= 1 and alpha < math.sqrt(1.0 + 1.0 / (4.0 * k)):
-            ups.append(
-                UpperBound(
-                    "l2_regular",
-                    float(int_ceil(192.0 * k * k * math.log(g.n))),
-                    constructive=True,
-                )
-            )
-        elif k >= 1:
-            omitted.append(("l2_regular", "alpha outside (0, sqrt(1 + 1/(4k)))"))
-        else:
-            omitted.append(("l2_regular", "edgeless graph"))
-    else:
-        omitted.append(("l2_regular", "graph is not regular"))
-
+            ups.append(UpperBound(row.tag, value, constructive=True, note=text))
     return ups, omitted
 
 
@@ -437,42 +317,14 @@ def theorem_formulas(
 # -- aggregation -------------------------------------------------------------------
 
 
-def _validate_constructive(g: Graph, alpha: float, tag: str) -> tuple[bool, str]:
-    """Build the embedding behind an upper-bound tag and certify it at alpha."""
-    from . import construct as ct
-
+def _validated(g: Graph, alpha: float, ub: UpperBound, limits: Limits) -> UpperBound:
+    """Build the embedding behind an upper bound and certify it at alpha."""
     try:
-        if tag == "shortest_path":
-            emb = ct.shortest_path_metric(g)
-        elif tag == "linf_collapse":
-            emb = ct.clique_collapse_linf(g, alpha)
-        elif tag == "pseudo_metric":
-            emb = ct.pseudo_metric_embedding(g, alpha)
-        elif tag == "linf_quotient":
-            emb = ct.frechet_quotient_embedding(g)
-        elif tag == "l2_ball_collapse":
-            emb = ct.ball_collapse_l2(g, alpha, seed=0)
-        elif tag == "l2_simplex_jl":
-            emb = ct.simplex_embedding(g, alpha, seed=0)
-        elif tag in ("l2_spectral", "l2_regular"):
-            base = ct.schoenberg_embedding(g)
-            c_size = base.n_points
-            if tag == "l2_spectral":
-                quotient = quotient_by_neighborhood(g)
-                lam = spectrum_top2(quotient)[0]
-                d = min(int_ceil(192.0 * lam * lam * math.log(c_size)), c_size)
-            else:
-                k = g.degree(0)
-                d = min(int_ceil(192.0 * k * k * math.log(g.n)), g.n)
-            emb = ct.jl_project(
-                base.target, max(d, 1), g, alpha, seed=0, vertex_map=base.vertex_map
-            )
-        else:
-            return False, f"no construction registered for {tag}"
+        emb = BY_TAG[ub.tag].build(g, alpha, 0, limits)
     except Exception as exc:  # noqa: BLE001 - negative outcome is reportable
-        return False, f"{type(exc).__name__}: {exc}"
-    cert = check(g, emb, alpha)
-    return cert.passed, "" if cert.passed else "certificate failed"
+        return replace(ub, verified=False, note=f"{type(exc).__name__}: {exc}")
+    passed = check(g, emb, alpha).passed
+    return replace(ub, verified=passed, note=ub.note if passed else "certificate failed")
 
 
 def report(
@@ -538,13 +390,7 @@ def report(
     if validate is None:
         validate = g.n <= limits.report_validation
     if validate:
-        checked = []
-        for ub in ups:
-            ok, why = _validate_constructive(g, alpha, ub.tag)
-            checked.append(
-                UpperBound(ub.tag, ub.value, ub.constructive, verified=ok, note=why or ub.note)
-            )
-        ups = checked
+        ups = [_validated(g, alpha, ub, limits) for ub in ups]
 
     max_lower = max(lb.value for lb in lowers)
     min_upper = min(ub.value for ub in ups)

@@ -15,6 +15,7 @@ from typing import Sequence
 
 from . import bounds, construct, experiment, metric, preserve
 from .config import DEFAULT_LIMITS
+from .construct import require_seed
 from .graph import (
     GenerationError,
     NAMED_FAMILIES,
@@ -28,33 +29,18 @@ from .graph import (
 
 __all__ = ["main"]
 
-CONSTRUCTIONS = (
-    "spm",
-    "collapse",
-    "prop6",
-    "frechet",
-    "frechet-q",
-    "schoenberg",
-    "simplex-jl",
-)
-
-
-def _need_seed(args: argparse.Namespace) -> int:
-    if args.seed is None:
-        raise ValueError("this operation is randomized; pass --seed")
-    return args.seed
-
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     family = args.family
     if family == "gnp":
-        g = gen_gnp(args.n, args.p, _need_seed(args))
+        g = gen_gnp(args.n, args.p, require_seed(args.seed))
     elif family == "kregular":
-        g = gen_kregular(args.n, args.k, _need_seed(args))
+        g = gen_kregular(args.n, args.k, require_seed(args.seed))
     elif family == "planted":
         if args.k <= 0 or args.n % args.k:
             raise ValueError("planted generation needs n divisible by --k blocks")
-        g = gen_planted_partition([args.n // args.k] * args.k, args.p, args.q, _need_seed(args))
+        sizes = [args.n // args.k] * args.k
+        g = gen_planted_partition(sizes, args.p, args.q, require_seed(args.seed))
     else:
         g = gen_named(family, args.n)
     write_edge_list(g, args.out)
@@ -78,23 +64,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     g = read_edge_list(args.graph)
-    name = args.construction
-    if name == "spm":
-        res = construct.shortest_path_metric(g)
-    elif name == "collapse":
-        res = construct.clique_collapse_linf(g, args.alpha)
-    elif name == "prop6":
-        res = construct.pseudo_metric_embedding(g, args.alpha)
-    elif name == "frechet":
-        res = construct.frechet_embedding(g)
-    elif name == "frechet-q":
-        res = construct.frechet_quotient_embedding(g)
-    elif name == "schoenberg":
-        res = construct.schoenberg_embedding(g)
-    elif name == "simplex-jl":
-        res = construct.simplex_embedding(g, args.alpha, _need_seed(args))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown construction {name}")
+    res = construct.BY_CLI[args.construction].build(g, args.alpha, args.seed, DEFAULT_LIMITS)
     doc = construct.result_to_json(res)
     if args.out:
         with open(args.out, "w") as fh:
@@ -146,7 +116,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         else:
             sys.stdout.write(experiment.rows_to_csv(records))
         return 0
-    seed = _need_seed(args)
+    seed = require_seed(args.seed)
     trials = args.trials
     if trials is None:
         trials = 200 if kind in ("clique", "theorem2") else 500
@@ -197,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="build a certified embedding")
     p.add_argument("graph")
-    p.add_argument("--construction", required=True, choices=CONSTRUCTIONS)
+    p.add_argument("--construction", required=True, choices=tuple(construct.BY_CLI))
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)

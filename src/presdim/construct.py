@@ -5,30 +5,41 @@ self-contained: the level interval it promises, a witness threshold, and a
 doubling-dimension bound for its target space. Coordinate dimensions convert
 to doubling bounds with a factor log2(3) per axis in sup-norm spaces and
 log2(5) in Euclidean ones (half-radius ball covers of a cube and a ball).
+
+``CONSTRUCTIONS`` is the one table that ties each construction to its
+``presdim embed`` name, its report tag and the ceiling rule that
+``bounds.upper_bounds`` evaluates; a ceiling and its builder's claimed bound
+share the dimension arithmetic defined here.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS
+from .config import DEFAULT_LIMITS, Limits
 from .graph import (
     Graph,
     GenerationError,
     all_pairs_distances,
-    bits,
     connected_components,
-    neighborhood_class_masks,
+    quotient_by_neighborhood,
+    quotient_with_map,
     rng_for,
+    spectrum_top2,
 )
 from .metric import FiniteMetric, PointSet, validate_metric
-from .partition import VertexPartition, clique_cover
-from .preserve import check
+from .partition import (
+    VertexPartition,
+    gated_clique_cover,
+    neighborhood_class_count,
+    neighborhood_partition,
+)
+from .preserve import check, mapped_distances
 from .util import int_ceil
 
 __all__ = [
@@ -48,10 +59,76 @@ __all__ = [
     "center_and_normalize",
     "result_to_json",
     "result_from_json",
+    "Construction",
+    "CONSTRUCTIONS",
+    "BY_TAG",
+    "BY_CLI",
+    "require_seed",
 ]
 
 LOG2_3 = math.log2(3.0)
 LOG2_5 = math.log2(5.0)
+
+
+# -- dimension arithmetic shared by the builders and the report ceilings -------
+
+
+def linf_dim(coords: int) -> int:
+    """Doubling bound of a sup-norm space with ``coords`` axes."""
+    return int_ceil(LOG2_3 * coords)
+
+
+def l2_dim(coords: int) -> int:
+    """Doubling bound of a Euclidean space with ``coords`` axes."""
+    return int_ceil(LOG2_5 * coords)
+
+
+def shortest_path_dim(n: int) -> int:
+    """Doubling bound of any n-point metric: ceil(log2 n)."""
+    return int_ceil(math.log2(n)) if n > 1 else 0
+
+
+def grid_dim(n: int, s: int) -> int:
+    """Axes of the side-``s`` grid that holds ``n`` points (0 for one point)."""
+    if n <= 1:
+        return 0
+    d = int_ceil(math.log(n) / math.log(s))
+    while s**d < n:
+        d += 1
+    return d
+
+
+def pseudo_metric_dim(blocks: int, classes: int, alpha: float) -> int:
+    """Bound of the case-table metric: log2(blocks) plus log2(3) per axis of
+    the grid, of side ceil(1/(alpha-1)), that packs the largest block's
+    ``classes`` neighborhood classes. The limit level alpha = 1 is charged
+    one full axis."""
+    inner = 1 if alpha == 1.0 else grid_dim(classes, int_ceil(1.0 / (alpha - 1.0)))
+    return int_ceil(math.log2(blocks) + LOG2_3 * inner) if blocks > 1 or inner else 0
+
+
+def packing_dim(n: int, r: float, eps: float) -> int:
+    """Coordinates of the Euclidean sphere packing of ``n`` points at gaps
+    ``eps`` in diameter ``r``: ceil(4 log(n+1) / (2 - (2 eps/r)^2))."""
+    gamma = 2.0 * eps / r
+    denom = 2.0 - gamma * gamma
+    if denom <= 0:
+        raise ValueError(
+            "packing separation too close to the diameter: need eps < r/sqrt(2)"
+        )
+    return max(1, int_ceil(4.0 * math.log(n + 1) / denom))
+
+
+def simplex_jl_coords(blocks: int, alpha: float) -> int:
+    """Projection coordinates of the block simplex at level alpha:
+    ceil(12 log(blocks) ((1+alpha^2)/(1-alpha^2))^2), 0 for one block."""
+    ratio = (1.0 + alpha * alpha) / (1.0 - alpha * alpha)
+    return int_ceil(12.0 * ratio * ratio * math.log(blocks)) if blocks > 1 else 0
+
+
+def spectral_coords(lam: float, points: int) -> int:
+    """Projection coordinates of the spectral routes: ceil(192 lam^2 ln points)."""
+    return int_ceil(192.0 * lam * lam * math.log(points))
 
 
 class JLProjectionError(RuntimeError):
@@ -84,23 +161,11 @@ class EmbeddingResult:
         return self.target.n
 
     def vertex_distances(self) -> np.ndarray:
-        base = (
-            self.target.distance_matrix()
-            if isinstance(self.target, PointSet)
-            else self.target.dist
-        )
-        idx = np.asarray(self.vertex_map, dtype=int)
-        return base[np.ix_(idx, idx)]
+        return mapped_distances(self.target, self.vertex_map)[0]
 
 
 def _identity_map(n: int) -> tuple[int, ...]:
     return tuple(range(n))
-
-
-def _cover_for(g: Graph, limit: int | None) -> VertexPartition:
-    limit = DEFAULT_LIMITS.exact_cover if limit is None else limit
-    mode = "exact" if g.n <= limit else "greedy"
-    return clique_cover(g, mode=mode)
 
 
 # -- shortest-path metric -----------------------------------------------------
@@ -124,7 +189,7 @@ def shortest_path_metric(g: Graph) -> EmbeddingResult:
         vertex_map=_identity_map(g.n),
         claimed_alpha=(0.0, 2.0),
         claimed_r=1.5,
-        claimed_dim_bound=int_ceil(math.log2(g.n)) if g.n > 1 else 0,
+        claimed_dim_bound=shortest_path_dim(g.n),
         source="shortest_path",
     )
 
@@ -147,9 +212,7 @@ def grid_packing_linf(n: int, r: float, eps: float) -> PointSet:
     if n == 1:
         return PointSet(np.zeros((1, 1)), norm=math.inf)
     s = int_ceil(r / eps)
-    d = int_ceil(math.log(n) / math.log(s), tol=1e-12)
-    while s**d < n:
-        d += 1
+    d = grid_dim(n, s)
     # Axis values: cumulative sums of eps, nudged up until each float gap
     # is >= eps (consecutive-term subtraction is exact by Sterbenz). Digits
     # never exceed min(s, n), so only that prefix is materialized.
@@ -181,17 +244,14 @@ def clique_collapse_linf(
     """
     if not 0 < alpha < 1:
         raise ValueError("collapse embedding needs alpha in (0, 1)")
-    part = _cover_for(g, limit)
-    pts = grid_packing_linf(part.size, 1.0, alpha) if part.size > 1 else PointSet(
-        np.zeros((1, 1)), norm=math.inf
-    )
-    coord_dim = pts.dim if part.size > 1 else 0
+    part = gated_clique_cover(g, limit)
+    pts = grid_packing_linf(max(part.size, 1), 1.0, alpha)
     return EmbeddingResult(
         target=pts,
         vertex_map=tuple(part.part_index()),
         claimed_alpha=(0.0, alpha),
         claimed_r=1.0,
-        claimed_dim_bound=int_ceil(LOG2_3 * coord_dim) if part.size > 1 else 0,
+        claimed_dim_bound=linf_dim(pts.dim) if part.size > 1 else 0,
         source=f"linf_collapse[{part.mode}]",
     )
 
@@ -216,13 +276,7 @@ def sphere_packing_l2(
     """
     if not 0 < eps < r:
         raise ValueError("need 0 < eps < r")
-    gamma = 2.0 * eps / r
-    denom = 2.0 - gamma * gamma
-    if denom <= 0:
-        raise ValueError(
-            "packing separation too close to the diameter: need eps < r/sqrt(2)"
-        )
-    d = max(1, int_ceil(4.0 * math.log(n + 1) / denom))
+    d = packing_dim(n, r, eps)
     if n == 1:
         return PointSet(np.zeros((1, d)), norm=2.0)
     radius = (r / 2.0) * (1.0 - 1e-9)
@@ -254,10 +308,10 @@ def ball_collapse_l2(
     """Euclidean analogue of the sup-norm collapse, for alpha < 1/sqrt(2)."""
     if not 0 < alpha < 1 / math.sqrt(2):
         raise ValueError("ball collapse needs alpha in (0, 1/sqrt(2))")
-    part = _cover_for(g, limit)
+    part = gated_clique_cover(g, limit)
     if part.size > 1:
         pts = sphere_packing_l2(part.size, 1.0, alpha, seed)
-        bound = int_ceil(LOG2_5 * pts.dim)
+        bound = l2_dim(pts.dim)
     else:
         pts = PointSet(np.zeros((1, 1)), norm=2.0)
         bound = 0
@@ -274,7 +328,7 @@ def ball_collapse_l2(
 # -- pseudo-metric construction for levels in (1, 2) -----------------------------
 
 
-def _largest_margin(alpha: float) -> tuple[float, int]:
+def _largest_margin(alpha: float) -> float:
     """Largest eps in (0, 0.5] keeping ceil((1-eps)/(alpha-1+eps)) at its
     eps -> 0 value ceil(1/(alpha-1)); located by bisection.
 
@@ -293,7 +347,7 @@ def _largest_margin(alpha: float) -> tuple[float, int]:
     if not keeps_ceiling(2.0**lo_exp):
         raise ValueError(f"no admissible margin for alpha={alpha}")
     if keeps_ceiling(2.0**hi_exp):
-        return 0.5, m0
+        return 0.5
     for _ in range(80):
         mid = (lo_exp + hi_exp) / 2
         if keeps_ceiling(2.0**mid):
@@ -303,7 +357,7 @@ def _largest_margin(alpha: float) -> tuple[float, int]:
     eps = 2.0**lo_exp
     if not (eps > 0 and keeps_ceiling(eps)):
         raise ValueError(f"no admissible margin for alpha={alpha}")
-    return eps, m0
+    return eps
 
 
 def pseudo_metric_embedding(
@@ -321,8 +375,8 @@ def pseudo_metric_embedding(
         raise ValueError("pseudo-metric construction needs alpha in [1, 2)")
     limiting = alpha == 1.0
     a = 1.0 + 1e-6 if limiting else alpha
-    eps, m0 = _largest_margin(a)
-    part = _cover_for(g, limit)
+    eps = _largest_margin(a)
+    part = gated_clique_cover(g, limit)
 
     # Per block: group members by closed neighborhood (full-graph), pack the
     # classes on a grid, and register one identified point per class.
@@ -331,10 +385,7 @@ def pseudo_metric_embedding(
     vmap = [-1] * g.n
     biggest_class_count = 1
     for bi, block in enumerate(part.blocks):
-        classes: dict[int, list[int]] = {}
-        for v in block:
-            classes.setdefault(g.closed_row(v), []).append(v)
-        ordered = sorted(classes.values(), key=lambda c: c[0])
+        ordered = neighborhood_partition(g, block).blocks
         k = len(ordered)
         biggest_class_count = max(biggest_class_count, k)
         grid = (
@@ -368,19 +419,13 @@ def pseudo_metric_embedding(
     if violation is not None:
         raise RuntimeError(f"construction produced a non-metric: {violation}")
 
-    inner = (
-        int_ceil(math.log(biggest_class_count) / math.log(m0))
-        if biggest_class_count > 1
-        else 0
-    )
-    bound = int_ceil(math.log2(part.size) + LOG2_3 * inner) if part.size > 1 or inner else 0
     label = "pseudo_metric[limit at 1]" if limiting else "pseudo_metric"
     return EmbeddingResult(
         target=target,
         vertex_map=tuple(vmap),
         claimed_alpha=(0.0, alpha),
         claimed_r=1.0,
-        claimed_dim_bound=bound,
+        claimed_dim_bound=pseudo_metric_dim(part.size, biggest_class_count, a),
         source=f"{label}[{part.mode}]",
     )
 
@@ -402,27 +447,9 @@ def frechet_embedding(g: Graph) -> EmbeddingResult:
         vertex_map=_identity_map(g.n),
         claimed_alpha=(0.0, 2.0),
         claimed_r=1.5,
-        claimed_dim_bound=int_ceil(LOG2_3 * (g.n - 1)) if g.n > 1 else 0,
+        claimed_dim_bound=linf_dim(g.n - 1),
         source="frechet",
     )
-
-
-def _quotient_with_map(g: Graph) -> tuple[Graph, list[int]]:
-    masks = neighborhood_class_masks(g)
-    vmap = [-1] * g.n
-    reps = []
-    for i, mask in enumerate(masks):
-        reps.append((mask & -mask).bit_length() - 1)
-        for v in bits(mask):
-            vmap[v] = i
-    k = len(masks)
-    rows = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if g.has_edge(reps[i], reps[j]):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(k, tuple(rows)), vmap
 
 
 def frechet_quotient_embedding(g: Graph) -> EmbeddingResult:
@@ -433,7 +460,7 @@ def frechet_quotient_embedding(g: Graph) -> EmbeddingResult:
     indicator axis per component, placing components at mutual distance
     2*(max eccentricity) + 1.
     """
-    h, vmap = _quotient_with_map(g)
+    h, vmap = quotient_with_map(g)
     d = all_pairs_distances(h)
     finite = d[np.isfinite(d)]
     if np.isfinite(d).all():
@@ -459,7 +486,7 @@ def frechet_quotient_embedding(g: Graph) -> EmbeddingResult:
         vertex_map=tuple(vmap),
         claimed_alpha=(1.0, 2.0),
         claimed_r=1.5,
-        claimed_dim_bound=int_ceil(LOG2_3 * h.n),
+        claimed_dim_bound=linf_dim(h.n),
         source="frechet_quotient",
     )
 
@@ -477,7 +504,7 @@ def schoenberg_embedding(g: Graph) -> EmbeddingResult:
     Neighbors land at sqrt(1 - 1/lambda), non-neighbors at 1, giving the
     supremal level (1 - 1/lambda)^(-1/2).
     """
-    h, vmap = _quotient_with_map(g)
+    h, vmap = quotient_with_map(g)
     if h.n == 1:
         # Single neighborhood class (complete graph): one point suffices.
         return EmbeddingResult(
@@ -518,7 +545,7 @@ def schoenberg_embedding(g: Graph) -> EmbeddingResult:
         vertex_map=tuple(vmap),
         claimed_alpha=(0.0, hi),
         claimed_r=(big + 1.0) / 2,
-        claimed_dim_bound=int_ceil(LOG2_5 * pts.shape[1]),
+        claimed_dim_bound=l2_dim(pts.shape[1]),
         source="schoenberg",
     )
 
@@ -558,7 +585,7 @@ def jl_project(
             vertex_map=vmap,
             claimed_alpha=(0.0, alpha_target),
             claimed_r=1.0,
-            claimed_dim_bound=int_ceil(LOG2_5 * points.shape[1]),
+            claimed_dim_bound=l2_dim(points.shape[1]),
             source=src,
         )
 
@@ -571,15 +598,8 @@ def jl_project(
         )
     if d_target >= p.dim:
         padded = np.hstack([p.points, np.zeros((p.n, d_target - p.dim))])
-        result = as_result(padded, "jl_isometric")
-        return EmbeddingResult(
-            target=result.target,
-            vertex_map=vmap,
-            claimed_alpha=(0.0, alpha_target),
-            claimed_r=base_cert.r if base_cert.r is not None else 1.0,
-            claimed_dim_bound=result.claimed_dim_bound,
-            source="jl_isometric",
-        )
+        r = base_cert.r if base_cert.r is not None else 1.0
+        return replace(as_result(padded, "jl_isometric"), claimed_r=r)
     best = 0.0
     for attempt in range(retries):
         rng = rng_for(seed, attempt)
@@ -588,14 +608,7 @@ def jl_project(
         cert = check(g, candidate, alpha_target)
         best = max(best, cert.alpha_max if cert.alpha_max != math.inf else best)
         if cert.passed:
-            return EmbeddingResult(
-                target=candidate.target,
-                vertex_map=vmap,
-                claimed_alpha=(0.0, alpha_target),
-                claimed_r=cert.r if cert.r is not None else 1.0,
-                claimed_dim_bound=candidate.claimed_dim_bound,
-                source=candidate.source,
-            )
+            return replace(candidate, claimed_r=cert.r if cert.r is not None else 1.0)
         if cert.alpha_max == math.inf:
             best = math.inf
     raise JLProjectionError(
@@ -613,7 +626,8 @@ def simplex_embedding(
     limit: int | None = None,
 ) -> EmbeddingResult:
     """Unit simplex on the clique-partition blocks, then a random projection
-    to ceil(12 log m / eps^2) coordinates with eps = (1-alpha^2)/(1+alpha^2).
+    to ``simplex_jl_coords(m, alpha)`` = ceil(12 log m / eps^2) coordinates
+    with eps = (1-alpha^2)/(1+alpha^2).
 
     Valid for alpha in (1/sqrt(3), 1): that range keeps eps <= 1/2, where the
     projection's squared-distance distortion translates into the requested
@@ -621,7 +635,7 @@ def simplex_embedding(
     """
     if not 1 / math.sqrt(3) < alpha < 1:
         raise ValueError("simplex embedding needs alpha in (1/sqrt(3), 1)")
-    part = _cover_for(g, limit)
+    part = gated_clique_cover(g, limit)
     m = part.size
     vmap = tuple(part.part_index())
     if m == 1:
@@ -634,19 +648,10 @@ def simplex_embedding(
             source=f"simplex_jl[{part.mode}]",
         )
     simplex = PointSet(np.eye(m) / math.sqrt(2.0), norm=2.0)
-    eps = (1.0 - alpha * alpha) / (1.0 + alpha * alpha)
-    d_target = max(1, int_ceil(12.0 * math.log(m) / (eps * eps)))
     result = jl_project(
-        simplex, d_target, g, alpha, seed, retries=retries, vertex_map=vmap
+        simplex, simplex_jl_coords(m, alpha), g, alpha, seed, retries=retries, vertex_map=vmap
     )
-    return EmbeddingResult(
-        target=result.target,
-        vertex_map=result.vertex_map,
-        claimed_alpha=result.claimed_alpha,
-        claimed_r=result.claimed_r,
-        claimed_dim_bound=result.claimed_dim_bound,
-        source=f"simplex_jl[{part.mode},{result.source}]",
-    )
+    return replace(result, source=f"simplex_jl[{part.mode},{result.source}]")
 
 
 # -- normalization ------------------------------------------------------------------
@@ -683,19 +688,158 @@ def result_to_json(res: EmbeddingResult) -> str:
 
 
 def result_from_json(text: str) -> EmbeddingResult:
+    """Inverse of ``result_to_json``; a missing or ill-typed field raises
+    ``ValueError``."""
     doc = json.loads(text)
-    if "points" in doc:
-        norm = math.inf if doc["norm"] == "inf" else float(doc["norm"])
-        target: FiniteMetric | PointSet = PointSet(np.array(doc["points"]), norm=norm)
-    else:
-        target = FiniteMetric(
-            np.array(doc["distance_matrix"]), pseudo=bool(doc.get("pseudo", False))
+    try:
+        if "points" in doc:
+            norm = math.inf if doc["norm"] == "inf" else float(doc["norm"])
+            target: FiniteMetric | PointSet = PointSet(np.array(doc["points"]), norm=norm)
+        else:
+            target = FiniteMetric(
+                np.array(doc["distance_matrix"]), pseudo=bool(doc.get("pseudo", False))
+            )
+        return EmbeddingResult(
+            target=target,
+            vertex_map=tuple(doc["vertex_map"]),
+            claimed_alpha=tuple(doc["alpha_interval"]),
+            claimed_r=float(doc["r"]),
+            claimed_dim_bound=int(doc["dim_bound"]),
+            source=doc["source"],
         )
-    return EmbeddingResult(
-        target=target,
-        vertex_map=tuple(doc["vertex_map"]),
-        claimed_alpha=tuple(doc["alpha_interval"]),
-        claimed_r=float(doc["r"]),
-        claimed_dim_bound=int(doc["dim_bound"]),
-        source=doc["source"],
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed embedding document ({type(exc).__name__}: {exc})") from exc
+
+
+# -- the construction table ---------------------------------------------------------
+# Builders take (g, alpha, seed, limits). A ceiling rule takes (g, alpha, cover),
+# cover being the clique partition the report counts, and gives (value, note)
+# where its bound applies and (None, reason for the omission) elsewhere.
+
+
+def require_seed(seed: int | None) -> int:
+    if seed is None:
+        raise ValueError("this operation is randomized; pass --seed")
+    return seed
+
+
+Ceiling = tuple[float | None, str]
+
+
+@dataclass(frozen=True)
+class Construction:
+    """One table row; ``tag`` (report) and ``cli`` (``presdim embed``) may be None."""
+
+    tag: str | None
+    cli: str | None
+    build: Callable[[Graph, float, int | None, Limits], EmbeddingResult]
+    ceiling: Callable[[Graph, float, VertexPartition], Ceiling] | None = None
+
+
+def _collapse_ceiling(g: Graph, alpha: float, cover: VertexPartition) -> Ceiling:
+    if alpha >= 1:
+        return None, "needs alpha < 1"
+    return float(linf_dim(grid_dim(cover.size, int_ceil(1 / alpha)))), ""
+
+
+def _pseudo_metric_ceiling(g: Graph, alpha: float, cover: VertexPartition) -> Ceiling:
+    if alpha < 1:
+        return None, "needs alpha >= 1"
+    if alpha == 1:
+        note = "limit realization of the (1, 2) construction"
+        return float(pseudo_metric_dim(cover.size, 1, 1.0)), note
+    classes = max((neighborhood_class_count(g, b) for b in cover.blocks), default=1)
+    return float(pseudo_metric_dim(cover.size, classes, alpha)), ""
+
+
+def _quotient_ceiling(g: Graph, alpha: float, cover: VertexPartition) -> Ceiling:
+    if alpha < 1:
+        return None, "collapse bound already applies below 1"
+    return float(linf_dim(neighborhood_class_count(g))), ""
+
+
+def _ball_collapse_ceiling(g: Graph, alpha: float, cover: VertexPartition) -> Ceiling:
+    if alpha >= 1 / math.sqrt(2):
+        return None, "needs alpha < 1/sqrt(2)"
+    return float(l2_dim(packing_dim(cover.size, 1.0, alpha))), ""
+
+
+def _simplex_ceiling(g: Graph, alpha: float, cover: VertexPartition) -> Ceiling:
+    if alpha >= 1:
+        return None, "needs alpha < 1"
+    if alpha <= 1 / math.sqrt(3):
+        return None, "needs alpha in (1/sqrt(3), 1)"
+    return float(l2_dim(simplex_jl_coords(cover.size, alpha))), ""
+
+
+def _spectral_ceiling(g: Graph, alpha: float, cover: VertexPartition) -> Ceiling:
+    if alpha < 1:
+        return None, "spectral route targets alpha >= 1"
+    quotient = quotient_by_neighborhood(g)
+    if quotient.edge_count == 0:
+        return None, "quotient has no edges"
+    lam = spectrum_top2(quotient)[0]
+    ceiling = math.inf if lam <= 1 else (1.0 - 1.0 / (4.0 * lam)) ** -0.5
+    if alpha >= ceiling:
+        return None, f"alpha >= (1 - 1/(4 lambda))^-1/2 = {ceiling:.6f}"
+    # Capped at c - 1 coordinates, while _spectral_jl projects to up to c.
+    return float(l2_dim(min(spectral_coords(lam, quotient.n), quotient.n - 1))), ""
+
+
+def _regular_ceiling(g: Graph, alpha: float, cover: VertexPartition) -> Ceiling:
+    degs = set(g.degrees())
+    if len(degs) != 1 or g.n <= 1:
+        return None, "graph is not regular"
+    k = degs.pop()
+    if k < 1:
+        return None, "edgeless graph"
+    if alpha >= math.sqrt(1.0 + 1.0 / (4.0 * k)):
+        return None, "alpha outside (0, sqrt(1 + 1/(4k)))"
+    return float(spectral_coords(k, g.n)), ""
+
+
+def _project(
+    base: EmbeddingResult, g: Graph, alpha: float, seed: int | None, d: int
+) -> EmbeddingResult:
+    return jl_project(
+        base.target, max(d, 1), g, alpha, require_seed(seed), vertex_map=base.vertex_map
     )
+
+
+def _spectral_jl(g: Graph, alpha: float, seed: int | None, limits: Limits) -> EmbeddingResult:
+    base = schoenberg_embedding(g)
+    lam, c = spectrum_top2(quotient_by_neighborhood(g))[0], base.n_points
+    return _project(base, g, alpha, seed, min(spectral_coords(lam, c), c))
+
+
+def _regular_jl(g: Graph, alpha: float, seed: int | None, limits: Limits) -> EmbeddingResult:
+    base = schoenberg_embedding(g)
+    return _project(base, g, alpha, seed, min(spectral_coords(g.degree(0), g.n), g.n))
+
+
+CONSTRUCTIONS: tuple[Construction, ...] = (
+    Construction("shortest_path", "spm", lambda g, a, seed, lim: shortest_path_metric(g),
+                 lambda g, a, cover: (float(shortest_path_dim(g.n)), "")),
+    Construction("linf_collapse", "collapse",
+                 lambda g, a, seed, lim: clique_collapse_linf(g, a, limit=lim.exact_cover),
+                 _collapse_ceiling),
+    Construction("pseudo_metric", "prop6",
+                 lambda g, a, seed, lim: pseudo_metric_embedding(g, a, limit=lim.exact_cover),
+                 _pseudo_metric_ceiling),
+    Construction(None, "frechet", lambda g, a, seed, lim: frechet_embedding(g)),
+    Construction("linf_quotient", "frechet-q",
+                 lambda g, a, seed, lim: frechet_quotient_embedding(g), _quotient_ceiling),
+    Construction(None, "schoenberg", lambda g, a, seed, lim: schoenberg_embedding(g)),
+    Construction("l2_ball_collapse", None,
+                 lambda g, a, seed, lim: ball_collapse_l2(
+                     g, a, require_seed(seed), limit=lim.exact_cover),
+                 _ball_collapse_ceiling),
+    Construction("l2_simplex_jl", "simplex-jl",
+                 lambda g, a, seed, lim: simplex_embedding(
+                     g, a, require_seed(seed), limit=lim.exact_cover),
+                 _simplex_ceiling),
+    Construction("l2_spectral", None, _spectral_jl, _spectral_ceiling),
+    Construction("l2_regular", None, _regular_jl, _regular_ceiling),
+)
+BY_TAG = {c.tag: c for c in CONSTRUCTIONS if c.tag}
+BY_CLI = {c.cli: c for c in CONSTRUCTIONS if c.cli}

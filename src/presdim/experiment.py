@@ -3,8 +3,7 @@ harness with CSV/JSON output.
 
 Trials are independent and derive their seeds from the root seed and trial
 index, so serial and parallel runs aggregate to identical results; outputs
-are byte-identical across reruns with the same configuration (wall-clock
-time is kept out of the serialized artifacts for that reason).
+are byte-identical across reruns with the same configuration.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import csv
 import io
 import json
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -27,7 +25,6 @@ from .bounds import (
     theorem_formulas,
     upper_bounds,
 )
-from .config import DEFAULT_LIMITS
 from .graph import (
     Graph,
     derive_seed,
@@ -39,8 +36,8 @@ from .graph import (
     NAMED_FAMILIES,
 )
 from .partition import (
-    clique_cover,
     clique_number,
+    gated_clique_cover,
     independence_number,
     neighborhood_class_count,
 )
@@ -88,10 +85,9 @@ class MCResult:
 
 @dataclass
 class TrialRecord:
-    """One sweep row; wall time stays in memory and out of serialized output."""
+    """One sweep row."""
 
     row: dict
-    wall_time: float = 0.0
 
 
 def _run(fn: Callable, args: list, jobs: int) -> list:
@@ -327,15 +323,13 @@ def sweep(config: dict, jobs: int = 1) -> list[TrialRecord]:
 
 def _sweep_trial(args: tuple) -> list[TrialRecord]:
     family, n, p, q, k, seed, t, alphas = args
-    start = time.monotonic()
     trial_seed = derive_seed(seed, t)
     g = _sample_graph(family, n, p, q, k, trial_seed)
     diam = diameter(g)
     clique_mode = "exact" if g.n <= 128 else "greedy"
     kappa = clique_number(g, mode=clique_mode)
     iota = independence_number(g, mode=clique_mode)
-    cover_mode = "exact" if g.n <= DEFAULT_LIMITS.exact_cover else "greedy"
-    cover = clique_cover(g, mode=cover_mode)
+    cover = gated_clique_cover(g)
     classes = neighborhood_class_count(g)
     records = []
     for alpha in alphas:
@@ -361,13 +355,13 @@ def _sweep_trial(args: tuple) -> list[TrialRecord]:
             "independence_number": iota,
             "clique_mode": clique_mode,
             "cover_size": cover.size,
-            "cover_mode": cover_mode,
+            "cover_mode": cover.mode,
             "n_classes": classes,
             "lower_clique_partition": lower_cp,
             "lower_neighborhood": lower_nb,
             "upper_min": upper_min,
         }
-        records.append(TrialRecord(row=row, wall_time=time.monotonic() - start))
+        records.append(TrialRecord(row=row))
     return records
 
 

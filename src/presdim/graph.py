@@ -35,6 +35,7 @@ __all__ = [
     "connected_components",
     "neighborhood_class_masks",
     "quotient_by_neighborhood",
+    "quotient_with_map",
     "spectrum_top2",
     "graph_stats",
     "write_edge_list",
@@ -83,7 +84,6 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0 or len(self.rows) != self.n:
             raise ValueError("row count must equal vertex count")
-        full = (1 << self.n) - 1
         for v, row in enumerate(self.rows):
             if row >> self.n:
                 raise ValueError(f"row {v} references vertices >= n")
@@ -96,7 +96,6 @@ class Graph:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
         if self.blocks is not None and len(self.blocks) != self.n:
             raise ValueError("blocks must label every vertex")
-        _ = full
 
     # -- queries ---------------------------------------------------------
 
@@ -394,14 +393,19 @@ def neighborhood_class_masks(g: Graph) -> list[int]:
     return masks
 
 
-def quotient_by_neighborhood(g: Graph) -> Graph:
+def quotient_with_map(g: Graph) -> tuple[Graph, list[int]]:
     """Contract each closed-neighborhood class to a single vertex.
 
     Classes are ordered by their lowest member; the lowest member acts as
     representative (adjacency between classes is representative-independent).
+    Also returns the class index of every vertex.
     """
     masks = neighborhood_class_masks(g)
     reps = [(m & -m).bit_length() - 1 for m in masks]
+    vmap = [-1] * g.n
+    for i, mask in enumerate(masks):
+        for v in bits(mask):
+            vmap[v] = i
     k = len(reps)
     rows = [0] * k
     for i in range(k):
@@ -409,7 +413,12 @@ def quotient_by_neighborhood(g: Graph) -> Graph:
             if g.has_edge(reps[i], reps[j]):
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph(k, tuple(rows))
+    return Graph(k, tuple(rows)), vmap
+
+
+def quotient_by_neighborhood(g: Graph) -> Graph:
+    """The neighborhood-class quotient of ``quotient_with_map`` without the map."""
+    return quotient_with_map(g)[0]
 
 
 def spectrum_top2(g: Graph) -> tuple[float, float]:

@@ -20,6 +20,7 @@ __all__ = [
     "VertexPartition",
     "SearchBudgetExceeded",
     "clique_cover",
+    "gated_clique_cover",
     "neighborhood_partition",
     "neighborhood_class_count",
     "clique_number",
@@ -305,6 +306,14 @@ def clique_cover(
         groups.append(list(bits(block)))
         remaining &= ~block
     return VertexPartition(_normalize_blocks(groups), mode="greedy")
+
+
+def gated_clique_cover(g: Graph, limit: int | None = None) -> VertexPartition:
+    """Minimum clique partition up to ``limit`` vertices (default
+    ``DEFAULT_LIMITS.exact_cover``), a greedy one above; the partition's
+    ``mode`` records which."""
+    limit = DEFAULT_LIMITS.exact_cover if limit is None else limit
+    return clique_cover(g, mode="exact" if g.n <= limit else "greedy", limit=limit)
 
 
 # -- neighborhood partition ---------------------------------------------------

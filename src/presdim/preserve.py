@@ -23,6 +23,7 @@ from .metric import FiniteMetric, PointSet
 __all__ = [
     "PreservationCertificate",
     "vertex_distance_matrix",
+    "mapped_distances",
     "alpha_max",
     "check",
     "alpha2_feasible",
@@ -52,10 +53,25 @@ class PreservationCertificate:
     passed: bool
 
 
-def _adjacency_masks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    adj = g.adjacency_matrix() > 0
-    off = ~np.eye(g.n, dtype=bool)
-    return adj, (~adj) & off
+def _target_distances(target: Any) -> tuple[np.ndarray, str]:
+    if isinstance(target, PointSet):
+        norm = "inf" if target.norm == math.inf else str(int(target.norm))
+        return target.distance_matrix(), f"l{norm}^{target.dim}"
+    return target.dist, f"metric[{target.n}]"
+
+
+def mapped_distances(target: Any, vertex_map: Any) -> tuple[np.ndarray, str]:
+    """Distances between the points ``vertex_map`` assigns to the vertices,
+    plus a space descriptor. Entries must be integers in [0, target.n):
+    numpy would alias a negative index from the end and truncate a float."""
+    idx = np.asarray(vertex_map)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise ValueError("vertex_map entries must be integer point indices")
+    if idx.size and (idx.min() < 0 or idx.max() >= target.n):
+        raise ValueError(f"vertex_map entries must lie in [0, {target.n})")
+    idx = idx.astype(np.intp)
+    base, kind = _target_distances(target)
+    return base[np.ix_(idx, idx)], kind
 
 
 def vertex_distance_matrix(g: Graph, emb: Any) -> tuple[np.ndarray, str]:
@@ -68,38 +84,30 @@ def vertex_distance_matrix(g: Graph, emb: Any) -> tuple[np.ndarray, str]:
         if emb.shape != (g.n, g.n):
             raise ValueError("distance matrix shape must match vertex count")
         return np.asarray(emb, dtype=np.float64), f"matrix[{g.n}]"
-    if isinstance(emb, FiniteMetric):
-        if emb.n != g.n:
-            raise ValueError("metric size must match vertex count")
-        return emb.dist, f"metric[{g.n}]"
-    if isinstance(emb, PointSet):
+    if isinstance(emb, (FiniteMetric, PointSet)):
         if emb.n != g.n:
             raise ValueError("point count must match vertex count")
-        norm = "inf" if emb.norm == math.inf else str(int(emb.norm))
-        return emb.distance_matrix(), f"l{norm}^{emb.dim}"
+        return _target_distances(emb)
     if hasattr(emb, "target") and hasattr(emb, "vertex_map"):
-        target = emb.target
-        vmap = list(emb.vertex_map)
-        if len(vmap) != g.n:
+        if len(emb.vertex_map) != g.n:
             raise ValueError("vertex_map must be total over the vertex set")
-        if isinstance(target, PointSet):
-            base = target.distance_matrix()
-            norm = "inf" if target.norm == math.inf else str(int(target.norm))
-            kind = f"l{norm}^{target.dim}"
-        else:
-            base = target.dist
-            kind = f"metric[{target.n}]"
-        idx = np.asarray(vmap, dtype=int)
-        source = getattr(emb, "source", "embedding")
-        return base[np.ix_(idx, idx)], f"{source}:{kind}"
+        dists, kind = mapped_distances(emb.target, emb.vertex_map)
+        return dists, f"{getattr(emb, 'source', 'embedding')}:{kind}"
     raise TypeError(f"unsupported embedding object {type(emb).__name__}")
 
 
-def _extremes(g: Graph, dists: np.ndarray) -> tuple[float, float]:
-    adj, nonadj = _adjacency_masks(g)
-    m_neigh = float(dists[adj].max()) if adj.any() else 0.0
-    m_non = float(dists[nonadj].min()) if nonadj.any() else math.inf
-    return m_neigh, m_non
+def _extremes(g: Graph, dists: np.ndarray) -> tuple[float, float, float]:
+    """M, m and the supremal level m/M, which is 0 when m = 0 and inf when
+    M = 0 or no non-neighbor pair exists."""
+    adj = g.adjacency_matrix() > 0
+    nonadj = ~adj & ~np.eye(g.n, dtype=bool)
+    big = float(dists[adj].max()) if adj.any() else 0.0
+    small = float(dists[nonadj].min()) if nonadj.any() else math.inf
+    if small == 0.0:
+        return big, small, 0.0
+    if big == 0.0 or small == math.inf:
+        return big, small, math.inf
+    return big, small, small / big
 
 
 def alpha_max(g: Graph, emb: Any) -> float:
@@ -108,13 +116,7 @@ def alpha_max(g: Graph, emb: Any) -> float:
     Preservation holds exactly for levels strictly below the returned value.
     Coincident non-neighbors force 0; an edgeless extreme side forces inf.
     """
-    dists, _ = vertex_distance_matrix(g, emb)
-    big, small = _extremes(g, dists)
-    if small == 0.0:
-        return 0.0
-    if big == 0.0 or small == math.inf:
-        return math.inf
-    return small / big
+    return _extremes(g, vertex_distance_matrix(g, emb)[0])[2]
 
 
 def check(g: Graph, emb: Any, alpha: float) -> PreservationCertificate:
@@ -127,13 +129,7 @@ def check(g: Graph, emb: Any, alpha: float) -> PreservationCertificate:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     dists, space = vertex_distance_matrix(g, emb)
-    big, small = _extremes(g, dists)
-    if small == 0.0:
-        amax = 0.0
-    elif big == 0.0 or small == math.inf:
-        amax = math.inf
-    else:
-        amax = small / big
+    big, small, amax = _extremes(g, dists)
     passed = small > alpha * big
     r: float | None = None
     if passed:

@@ -112,3 +112,24 @@ def test_experiment_verbs(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 5  # header + 2 trials x 2 levels
     assert main(["experiment", "--kind", "sweep"]) == 2  # missing --config
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc.update(vertex_map=[0, 1, 2, -1]),  # would alias the last point
+        lambda doc: doc.update(vertex_map=[0, 1, 2, 7]),  # beyond the target
+        lambda doc: doc.update(vertex_map=[0, 1, 2, 2.5]),  # not an integer
+        lambda doc: doc.pop("r"),
+    ],
+    ids=["negative", "out-of-range", "fractional", "missing-r"],
+)
+def test_verify_rejects_malformed_embedding(tmp_path, edit):
+    g_path = tmp_path / "p4.el"
+    emb_path = tmp_path / "emb.json"
+    assert main(["generate", "--family", "path", "--n", "4", "--out", str(g_path)]) == 0
+    assert main(["embed", str(g_path), "--construction", "spm", "--out", str(emb_path)]) == 0
+    doc = json.loads(emb_path.read_text())
+    edit(doc)
+    emb_path.write_text(json.dumps(doc))
+    assert main(["verify", str(g_path), str(emb_path), "--alpha", "1.5"]) == 2
