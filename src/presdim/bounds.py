@@ -70,7 +70,7 @@ class BoundReport:
     notes: tuple[str, ...]
 
 
-# -- candidate subsets for the subset-maximized lower bounds ---------------------
+# -- subset-maximized lower bounds: alpha enters only the denominators -----------
 
 
 def _candidate_subsets(
@@ -78,7 +78,7 @@ def _candidate_subsets(
     extra: Sequence[Sequence[int]] | None,
     ball_radii: Sequence[int] = (1, 2, 3),
 ) -> list[list[int]]:
-    """Connected candidate subsets with at least two vertices, deduplicated."""
+    """Deduplicated subsets of 2+ vertices; user subsets come last, maybe disconnected."""
     seen: set[frozenset[int]] = set()
     out: list[list[int]] = []
 
@@ -96,17 +96,14 @@ def _candidate_subsets(
         for rad in ball_radii:
             add([u for u in range(g.n) if dist[u] <= rad])
     for subset in extra or ():
-        sub = sorted(set(subset))
-        if len(sub) >= 2 and math.isfinite(diameter(g.induced(sub))):
-            add(sub)
+        add(subset)
     return out
 
 
-def _partition_floor(g: Graph, subset: list[int], limits: Limits) -> float:
+def _partition_floor(sub: Graph, limits: Limits) -> float:
     """A certified lower bound on the minimum clique-partition size of the
-    induced subgraph: exact when small, else max of an independent set and
-    |U| divided by a coloring upper bound on the clique number."""
-    sub = g.induced(subset)
+    induced subgraph ``sub``: exact when small, else max of an independent
+    set and |U| divided by a coloring upper bound on the clique number."""
     if sub.n <= limits.exact_cover:
         return float(clique_cover(sub, mode="exact").size)
     try:
@@ -115,6 +112,34 @@ def _partition_floor(g: Graph, subset: list[int], limits: Limits) -> float:
         iota = independence_number(sub, mode="greedy")
     kappa_upper = max(greedy_coloring_size(sub), 1)
     return float(max(iota, sub.n / kappa_upper))
+
+
+def subset_profile(
+    g: Graph,
+    subsets: Sequence[Sequence[int]] | None = None,
+    limits: Limits = DEFAULT_LIMITS,
+) -> list[tuple[float, float, int]]:
+    """The level-free part of both lower bounds: ``(diam, partition_floor, class_count)``
+    per connected candidate subset U with diam(G|U) >= 1, each induced once."""
+    profile = []
+    for subset in _candidate_subsets(g, subsets):
+        sub = g.induced(subset)
+        diam = diameter(sub)
+        if math.isfinite(diam) and diam >= 1:
+            floor = _partition_floor(sub, limits)
+            profile.append((diam, floor, neighborhood_class_count(g, subset)))
+    return profile
+
+
+def profile_lower(profile: Sequence[tuple[float, float, int]], alpha: float) -> tuple[float, float]:
+    """(clique_partition, neighborhood) at level alpha from a ``subset_profile``;
+    neighborhood is -inf unless alpha > 1, both are -inf on an empty profile."""
+    cp = nb = -math.inf
+    for diam, floor, classes in profile:
+        cp = max(cp, math.log(floor) / math.log(4.0 * diam / alpha))
+        if alpha > 1:
+            nb = max(nb, math.log(classes) / math.log(4.0 * diam / (alpha - 1.0)))
+    return cp, nb
 
 
 def lower_clique_partition(
@@ -130,17 +155,7 @@ def lower_clique_partition(
     """
     if not 0 < alpha < 2:
         raise ValueError("clique-partition bound needs alpha in (0, 2)")
-    best = -math.inf
-    for subset in _candidate_subsets(g, subsets):
-        sub = g.induced(subset)
-        diam = diameter(sub)
-        if not math.isfinite(diam) or diam < 1:
-            continue
-        floor = _partition_floor(g, subset, limits)
-        if floor < 1:
-            continue
-        best = max(best, math.log(floor) / math.log(4.0 * diam / alpha))
-    return best
+    return profile_lower(subset_profile(g, subsets, limits), alpha)[0]
 
 
 def lower_neighborhood(
@@ -157,15 +172,7 @@ def lower_neighborhood(
     """
     if not 1 < alpha < 2:
         raise ValueError("neighborhood bound needs alpha in (1, 2)")
-    best = -math.inf
-    for subset in _candidate_subsets(g, subsets):
-        sub = g.induced(subset)
-        diam = diameter(sub)
-        if not math.isfinite(diam) or diam < 1:
-            continue
-        classes = neighborhood_class_count(g, subset)
-        best = max(best, math.log(classes) / math.log(4.0 * diam / (alpha - 1.0)))
-    return best
+    return profile_lower(subset_profile(g, subsets, limits), alpha)[1]
 
 
 # -- upper bound formulas --------------------------------------------------------
@@ -339,7 +346,7 @@ def report(
     ``validate`` controls whether constructive uppers are built and
     certified; default: only for graphs up to the validation size limit.
     """
-    if alpha <= 0:
+    if not alpha > 0:  # NaN too, before the subset profile is built
         raise ValueError("alpha must be positive")
     notes: list[str] = []
     if alpha >= 2:
@@ -375,16 +382,10 @@ def report(
             notes=(),
         )
 
-    lowers = [LowerBound("trivial_nonneg", 0.0)]
-    lc = lower_clique_partition(g, alpha, subsets=subsets, limits=limits)
-    lowers.append(LowerBound("clique_partition_cover", lc))
+    lc, ln = profile_lower(subset_profile(g, subsets, limits), alpha)
+    lowers = [LowerBound("trivial_nonneg", 0.0), LowerBound("clique_partition_cover", lc)]
     if alpha > 1:
-        lowers.append(
-            LowerBound(
-                "neighborhood_classes",
-                lower_neighborhood(g, alpha, subsets=subsets, limits=limits),
-            )
-        )
+        lowers.append(LowerBound("neighborhood_classes", ln))
 
     ups, omitted = upper_bounds(g, alpha, limits=limits)
     if validate is None:

@@ -32,7 +32,7 @@ from .graph import (
     rng_for,
     spectrum_top2,
 )
-from .metric import FiniteMetric, PointSet, validate_metric
+from .metric import FiniteMetric, PointSet, validate_entries, validate_metric
 from .partition import (
     VertexPartition,
     gated_clique_cover,
@@ -695,10 +695,18 @@ def result_from_json(text: str) -> EmbeddingResult:
         if "points" in doc:
             norm = math.inf if doc["norm"] == "inf" else float(doc["norm"])
             target: FiniteMetric | PointSet = PointSet(np.array(doc["points"]), norm=norm)
+            if not np.isfinite(target.points).all():
+                raise ValueError("malformed embedding document: points must be finite")
         else:
             target = FiniteMetric(
                 np.array(doc["distance_matrix"]), pseudo=bool(doc.get("pseudo", False))
             )
+            bad = validate_entries(target.dist)
+            if bad is not None:
+                raise ValueError(
+                    f"malformed embedding document: distance_matrix fails {bad.axiom} "
+                    f"at {bad.witness} ({bad.detail})"
+                )
         return EmbeddingResult(
             target=target,
             vertex_map=tuple(doc["vertex_map"]),
@@ -795,6 +803,10 @@ def _regular_ceiling(g: Graph, alpha: float, cover: VertexPartition) -> Ceiling:
         return None, "edgeless graph"
     if alpha >= math.sqrt(1.0 + 1.0 / (4.0 * k)):
         return None, "alpha outside (0, sqrt(1 + 1/(4k)))"
+    quotient = quotient_by_neighborhood(g)
+    if quotient.n > 1 and quotient.edge_count == 0:
+        # Equal disjoint cliques: schoenberg_embedding has no quotient edge to scale.
+        return None, "quotient has no edges"
     return float(spectral_coords(k, g.n)), ""
 
 

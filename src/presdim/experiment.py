@@ -20,8 +20,8 @@ from .bounds import (
     clique_number_markov_ceiling,
     cluster_saliency,
     diameter2_probability_floor,
-    lower_clique_partition,
-    lower_neighborhood,
+    profile_lower,
+    subset_profile,
     theorem_formulas,
     upper_bounds,
 )
@@ -331,15 +331,13 @@ def _sweep_trial(args: tuple) -> list[TrialRecord]:
     iota = independence_number(g, mode=clique_mode)
     cover = gated_clique_cover(g)
     classes = neighborhood_class_count(g)
+    profile = subset_profile(g) if any(0 < alpha < 2 for alpha in alphas) else []
     records = []
     for alpha in alphas:
-        lower_cp = lower_clique_partition(g, alpha) if 0 < alpha < 2 else -math.inf
-        lower_nb = lower_neighborhood(g, alpha) if 1 < alpha < 2 else -math.inf
+        lower_cp, lower_nb, upper_min = -math.inf, -math.inf, math.inf
         if 0 < alpha < 2:
-            ups, _ = upper_bounds(g, alpha)
-            upper_min = min(ub.value for ub in ups)
-        else:
-            upper_min = math.inf
+            lower_cp, lower_nb = profile_lower(profile, alpha)
+            upper_min = min(ub.value for ub in upper_bounds(g, alpha)[0])
         row = {
             "family": family,
             "n": n,

@@ -21,6 +21,7 @@ __all__ = [
     "FiniteMetric",
     "PointSet",
     "MetricViolation",
+    "validate_entries",
     "validate_metric",
     "induced_metric",
     "covering_number",
@@ -108,15 +109,19 @@ def induced_metric(p: PointSet) -> FiniteMetric:
 
 @dataclass(frozen=True)
 class MetricViolation:
-    axiom: str  # "symmetry" | "diagonal" | "nonnegativity" | "identity" | "triangle"
+    axiom: str  # "nan" | "symmetry" | "diagonal" | "nonnegativity" | "identity" | "triangle"
     witness: tuple[int, ...]
     detail: str
 
 
-def validate_metric(m: FiniteMetric, tol: float = METRIC_TOL) -> MetricViolation | None:
-    """Return the first violated metric axiom with a witness, or None."""
-    d = m.dist
-    n = m.n
+def validate_entries(d: np.ndarray, tol: float = METRIC_TOL) -> MetricViolation | None:
+    """The O(n^2) checks of a square distance matrix (no NaN, symmetry, zero
+    diagonal, nonnegativity): the first violation with a witness, or None."""
+    n = d.shape[0]
+    nan = np.isnan(d)
+    if nan.any():
+        i, j = np.unravel_index(int(np.argmax(nan)), nan.shape)
+        return MetricViolation("nan", (int(i), int(j)), "d_ij is NaN")
     asym = np.abs(d - d.T)
     if n and asym.max() > tol:
         i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
@@ -128,6 +133,16 @@ def validate_metric(m: FiniteMetric, tol: float = METRIC_TOL) -> MetricViolation
     if n and d.min() < -tol:
         i, j = np.unravel_index(int(np.argmin(d)), d.shape)
         return MetricViolation("nonnegativity", (int(i), int(j)), f"d_ij = {d[i, j]:.3g}")
+    return None
+
+
+def validate_metric(m: FiniteMetric, tol: float = METRIC_TOL) -> MetricViolation | None:
+    """Return the first violated metric axiom with a witness, or None."""
+    violation = validate_entries(m.dist, tol)
+    if violation is not None:
+        return violation
+    d = m.dist
+    n = m.n
     if not m.pseudo and n > 1:
         off = d + np.diag(np.full(n, np.inf))
         if off.min() <= 0.0:

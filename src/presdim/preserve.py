@@ -126,8 +126,8 @@ def check(g: Graph, emb: Any, alpha: float) -> PreservationCertificate:
     r = (M + min(m/alpha, next larger distance)) / 2, which satisfies
     M < r and alpha*r <= m.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     dists, space = vertex_distance_matrix(g, emb)
     big, small, amax = _extremes(g, dists)
     passed = small > alpha * big

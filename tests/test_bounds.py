@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 
+from presdim import bounds
 from presdim.bounds import (
     clique_number_markov_ceiling,
     cluster_saliency,
@@ -15,7 +16,10 @@ from presdim.bounds import (
     theorem_formulas,
     upper_bounds,
 )
+from presdim.config import Limits
+from presdim.experiment import sweep
 from presdim.graph import (
+    Graph,
     diameter,
     from_edge_list,
     gen_gnp,
@@ -234,3 +238,54 @@ def test_family_lower_formula():
     f = theorem_formulas(n=10, alpha=1.5, R=2.0, log_size=45 * math.log(2))
     want = 45 * math.log(2) / (10 * math.log(32))
     assert abs(f["family_lower"] - want) < 1e-12
+
+
+def test_report_and_sweep_enumerate_the_candidates_once(monkeypatch):
+    enumerations, induced = [], []
+    enumerate_candidates, induce = bounds._candidate_subsets, Graph.induced
+    monkeypatch.setattr(
+        bounds, "_candidate_subsets",
+        lambda *a: enumerations.append(1) or enumerate_candidates(*a),
+    )
+    monkeypatch.setattr(Graph, "induced", lambda *a: induced.append(1) or induce(*a))
+    g = gen_gnp(30, 0.5, 3)
+    report(g, 1.5, validate=False)
+    assert len(enumerations) == 1
+    induced.clear()
+    bounds.subset_profile(g)
+    assert len(induced) == len(enumerate_candidates(g, None))
+    enumerations.clear()
+    sweep({"family": "gnp", "n": 30, "trials": 2, "alpha_grid": "0.6,0.8,1.2,1.5,1.8"})
+    assert len(enumerations) == 2  # one per trial
+
+
+def test_report_lower_bounds_match_the_public_functions():
+    for seed in range(4):
+        g = gen_gnp(14 + 4 * seed, 0.4, seed)
+        apart = next([0, v] for v in range(1, g.n) if not g.has_edge(0, v))
+        subsets = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 1, 2], apart, list(range(g.n // 2))]
+        for limits in (Limits(), Limits(exact_cover=4)):
+            for alpha in (0.6, 1.0, 1.5):
+                lowers = dict(
+                    (lb.tag, lb.value)
+                    for lb in report(g, alpha, subsets=subsets, limits=limits,
+                                     validate=False).lower_bounds
+                )
+                assert lowers["clique_partition_cover"] == lower_clique_partition(
+                    g, alpha, subsets=subsets, limits=limits
+                )
+                if alpha > 1:
+                    assert lowers["neighborhood_classes"] == lower_neighborhood(
+                        g, alpha, subsets=subsets, limits=limits
+                    )
+
+
+def test_l2_regular_omitted_on_disjoint_equal_cliques():
+    two_k2 = from_edge_list(4, [(0, 1), (2, 3)])
+    two_k3 = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    for g in (two_k2, two_k3):
+        rep = report(g, 0.8)
+        assert dict(rep.omitted)["l2_regular"] == "quotient has no edges"
+        assert all(ub.verified for ub in rep.upper_bounds)
+    # one neighborhood class: the complete graph keeps the row
+    assert "l2_regular" in [ub.tag for ub in report(gen_named("complete", 5), 0.8).upper_bounds]

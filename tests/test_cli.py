@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -114,17 +115,33 @@ def test_experiment_verbs(tmp_path, capsys):
     assert main(["experiment", "--kind", "sweep"]) == 2  # missing --config
 
 
+def _set_distances(value, *cells):
+    def edit(doc):
+        for i, j in cells:
+            doc["distance_matrix"][i][j] = value
+    return edit
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "edit, alpha",
     [
-        lambda doc: doc.update(vertex_map=[0, 1, 2, -1]),  # would alias the last point
-        lambda doc: doc.update(vertex_map=[0, 1, 2, 7]),  # beyond the target
-        lambda doc: doc.update(vertex_map=[0, 1, 2, 2.5]),  # not an integer
-        lambda doc: doc.pop("r"),
+        (lambda doc: doc.update(vertex_map=[0, 1, 2, -1]), "1.5"),  # would alias the last point
+        (lambda doc: doc.update(vertex_map=[0, 1, 2, 7]), "1.5"),  # beyond the target
+        (lambda doc: doc.update(vertex_map=[0, 1, 2, 2.5]), "1.5"),  # not an integer
+        (lambda doc: doc.pop("r"), "1.5"),
+        (_set_distances(5.0, (0, 3)), "1.5"),
+        (_set_distances(-1.0, (0, 1), (1, 0)), "1.5"),
+        (_set_distances(0.5, (2, 2)), "1.5"),
+        (_set_distances(math.nan, (0, 1), (1, 0)), "1.5"),
+        (lambda doc: doc.update(points=[[math.nan], [1.0], [2.0], [3.0]], norm=2), "1.5"),
+        (lambda doc: None, "nan"),
     ],
-    ids=["negative", "out-of-range", "fractional", "missing-r"],
+    ids=[
+        "negative", "out-of-range", "fractional", "missing-r", "asymmetric-distance",
+        "negative-distance", "nonzero-diagonal", "nan-distance", "nan-point", "nan-level",
+    ],
 )
-def test_verify_rejects_malformed_embedding(tmp_path, edit):
+def test_verify_rejects_malformed_embedding(tmp_path, edit, alpha):
     g_path = tmp_path / "p4.el"
     emb_path = tmp_path / "emb.json"
     assert main(["generate", "--family", "path", "--n", "4", "--out", str(g_path)]) == 0
@@ -132,4 +149,4 @@ def test_verify_rejects_malformed_embedding(tmp_path, edit):
     doc = json.loads(emb_path.read_text())
     edit(doc)
     emb_path.write_text(json.dumps(doc))
-    assert main(["verify", str(g_path), str(emb_path), "--alpha", "1.5"]) == 2
+    assert main(["verify", str(g_path), str(emb_path), "--alpha", alpha]) == 2
