@@ -78,22 +78,27 @@ def vertex_distance_matrix(g: Graph, emb: Any) -> tuple[np.ndarray, str]:
     """Vertex-indexed distance matrix plus a short space descriptor.
 
     Accepts a raw (n, n) array, a FiniteMetric or PointSet on the vertices,
-    or any embedding result exposing ``target`` and ``vertex_map``.
+    or any embedding result exposing ``target`` and ``vertex_map``. Raises
+    ``ValueError`` on a NaN distance, which no level could be decided on.
     """
     if isinstance(emb, np.ndarray):
         if emb.shape != (g.n, g.n):
             raise ValueError("distance matrix shape must match vertex count")
-        return np.asarray(emb, dtype=np.float64), f"matrix[{g.n}]"
-    if isinstance(emb, (FiniteMetric, PointSet)):
+        dists, kind = np.asarray(emb, dtype=np.float64), f"matrix[{g.n}]"
+    elif isinstance(emb, (FiniteMetric, PointSet)):
         if emb.n != g.n:
             raise ValueError("point count must match vertex count")
-        return _target_distances(emb)
-    if hasattr(emb, "target") and hasattr(emb, "vertex_map"):
+        dists, kind = _target_distances(emb)
+    elif hasattr(emb, "target") and hasattr(emb, "vertex_map"):
         if len(emb.vertex_map) != g.n:
             raise ValueError("vertex_map must be total over the vertex set")
         dists, kind = mapped_distances(emb.target, emb.vertex_map)
-        return dists, f"{getattr(emb, 'source', 'embedding')}:{kind}"
-    raise TypeError(f"unsupported embedding object {type(emb).__name__}")
+        kind = f"{getattr(emb, 'source', 'embedding')}:{kind}"
+    else:
+        raise TypeError(f"unsupported embedding object {type(emb).__name__}")
+    if np.isnan(dists).any():
+        raise ValueError("distance matrix holds a NaN entry")
+    return dists, kind
 
 
 def _extremes(g: Graph, dists: np.ndarray) -> tuple[float, float, float]:

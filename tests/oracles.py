@@ -122,6 +122,25 @@ def doubling_dimension_brute(dist: np.ndarray) -> int:
     return (worst - 1).bit_length()
 
 
+def distance_matrix_oracle(points: np.ndarray, norm: float) -> np.ndarray:
+    """Pairwise l_p distances from one (n, n, d) broadcast of all differences,
+    symmetrised with a zero diagonal: the unblocked formula."""
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    if pts.shape[1] == 0:
+        return np.zeros((n, n))
+    diff = pts[:, None, :] - pts[None, :, :]
+    if norm == math.inf:
+        d = np.abs(diff).max(axis=2)
+    elif norm == 1.0:
+        d = np.abs(diff).sum(axis=2)
+    else:
+        d = np.sqrt((diff * diff).sum(axis=2))
+    d = 0.5 * (d + d.T)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
 def diameter_oracle(g: Graph) -> float:
     """Diameter through scipy's shortest-path solver."""
     if g.n == 1:

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from presdim.graph import gen_gnp, gen_named
 from presdim.construct import shortest_path_metric
@@ -21,6 +24,7 @@ from presdim.metric import (
 
 from oracles import (
     covering_number_brute,
+    distance_matrix_oracle,
     doubling_dimension_brute,
     packing_number_brute,
 )
@@ -46,6 +50,40 @@ def test_induced_metric_examples():
     assert np.allclose(simplex.dist[off], math.sqrt(2))
     corner = induced_metric(PointSet(np.array([[0.0, 0.0], [1.0, 1.0]]), norm=math.inf))
     assert corner.dist[0, 1] == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 140),
+    dim=st.integers(0, 120),
+    norm=st.sampled_from([1.0, 2.0, math.inf]),
+    seed=st.integers(0, 2**32 - 1),
+    span=st.integers(0, 40),
+)
+@example(n=0, dim=3, norm=math.inf, seed=0, span=0)
+@example(n=1, dim=5, norm=2.0, seed=0, span=10)
+@example(n=7, dim=0, norm=1.0, seed=0, span=0)
+# 130 * 130 * 100 entries exceed one row block: blocks of 80 rows, then 50
+@example(n=130, dim=100, norm=1.0, seed=1, span=40)
+@example(n=130, dim=100, norm=2.0, seed=2, span=40)
+@example(n=130, dim=100, norm=math.inf, seed=3, span=40)
+def test_distance_matrix_matches_unblocked_oracle(n, dim, norm, seed, span):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-span, span + 1, size=(n, dim))
+    pts = rng.standard_normal((n, dim)) * scale
+    got = PointSet(pts, norm=norm).distance_matrix()
+    assert np.array_equal(got, distance_matrix_oracle(pts, norm))
+
+
+def test_distance_matrix_memory_is_bounded():
+    pts = np.random.default_rng(11).random((300, 299))
+    tracemalloc.start()
+    try:
+        PointSet(pts, norm=math.inf).distance_matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_covering_examples():

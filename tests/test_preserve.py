@@ -10,7 +10,7 @@ from presdim.construct import (
     shortest_path_metric,
 )
 from presdim.graph import from_edge_list, gen_gnp, gen_named
-from presdim.metric import PointSet, covering_number, induced_metric
+from presdim.metric import FiniteMetric, PointSet, covering_number, induced_metric
 from presdim.partition import clique_cover, neighborhood_partition
 from presdim.preserve import (
     alpha2_feasible,
@@ -45,6 +45,15 @@ def test_check_all_points_coincident_fails():
     flat = PointSet(np.zeros((3, 1)), norm=2.0)
     for alpha in (0.25, 1.0, 1.9):
         assert not check(g, flat, alpha).passed
+
+
+def test_check_rejects_nan_distances():
+    g = from_edge_list(3, [(0, 1)])
+    d = np.array([[0.0, 1.0, np.nan], [1.0, 0.0, 2.0], [np.nan, 2.0, 0.0]])
+    pts = np.array([[0.0], [1.0], [np.nan]])
+    for emb in (FiniteMetric(d), d, PointSet(pts, norm=2.0)):
+        with pytest.raises(ValueError, match="NaN"):
+            check(g, emb, 1.5)
 
 
 def test_certificate_witness_threshold():
