@@ -4,7 +4,8 @@ into per-graph reports.
 Lower bounds scan candidate vertex subsets (connected components, small BFS
 balls, user-supplied sets): any connected subset yields a valid bound, so the
 heuristic subset pool is sound, merely possibly loose. Upper bounds evaluate
-the ceiling rules of ``construct.CONSTRUCTIONS``, and a report can
+the ceiling rules of ``construct.CONSTRUCTIONS`` on the graph's level-free
+``construct.GraphFacts``, and a report can
 cross-validate each constructive bound by building the embedding from the
 same table row and certifying it.
 """
@@ -17,12 +18,11 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .config import DEFAULT_LIMITS, Limits
-from .construct import BY_TAG, CONSTRUCTIONS
+from .construct import BY_TAG, CONSTRUCTIONS, GraphFacts, graph_facts
 from .graph import Graph, bfs_distances, connected_components, diameter
 from .partition import (
     SearchBudgetExceeded,
     clique_cover,
-    gated_clique_cover,
     greedy_coloring_size,
     independence_number,
     neighborhood_class_count,
@@ -37,6 +37,7 @@ __all__ = [
     "lower_clique_partition",
     "lower_neighborhood",
     "upper_bounds",
+    "upper_bounds_from_facts",
     "theorem_formulas",
     "report",
     "report_to_json",
@@ -73,11 +74,10 @@ class BoundReport:
 # -- subset-maximized lower bounds: alpha enters only the denominators -----------
 
 
-def _candidate_subsets(
-    g: Graph,
-    extra: Sequence[Sequence[int]] | None,
-    ball_radii: Sequence[int] = (1, 2, 3),
-) -> list[list[int]]:
+_BALL_RADII = (1, 2, 3)
+
+
+def _candidate_subsets(g: Graph, extra: Sequence[Sequence[int]] | None) -> list[list[int]]:
     """Deduplicated subsets of 2+ vertices; user subsets come last, maybe disconnected."""
     seen: set[frozenset[int]] = set()
     out: list[list[int]] = []
@@ -93,7 +93,7 @@ def _candidate_subsets(
         add(comp)
     for v in range(g.n):
         dist = bfs_distances(g, v)
-        for rad in ball_radii:
+        for rad in _BALL_RADII:
             add([u for u in range(g.n) if dist[u] <= rad])
     for subset in extra or ():
         add(subset)
@@ -190,13 +190,19 @@ def upper_bounds(
     """
     if not 0 < alpha < 2:
         raise ValueError("upper bounds cover alpha in (0, 2)")
-    cover = gated_clique_cover(g, limits.exact_cover)
+    return upper_bounds_from_facts(graph_facts(g, limits), alpha)
+
+
+def upper_bounds_from_facts(
+    facts: GraphFacts, alpha: float
+) -> tuple[list[UpperBound], list[tuple[str, str]]]:
+    """``upper_bounds`` on facts computed once per graph, for alpha in (0, 2)."""
     ups: list[UpperBound] = []
     omitted: list[tuple[str, str]] = []
     for row in CONSTRUCTIONS:
         if row.ceiling is None:
             continue
-        value, text = row.ceiling(g, alpha, cover)
+        value, text = row.ceiling(facts, alpha)
         if value is None:
             omitted.append((row.tag, text))
         else:
@@ -348,7 +354,6 @@ def report(
     """
     if not alpha > 0:  # NaN too, before the subset profile is built
         raise ValueError("alpha must be positive")
-    notes: list[str] = []
     if alpha >= 2:
         feasible = alpha2_feasible(g)
         if not feasible:
@@ -403,7 +408,7 @@ def report(
         upper_bounds=tuple(ups),
         omitted=tuple(omitted),
         interval=(max_lower, min_upper),
-        notes=tuple(notes),
+        notes=(),
     )
 
 

@@ -9,7 +9,9 @@ log2(5) in Euclidean ones (half-radius ball covers of a cube and a ball).
 ``CONSTRUCTIONS`` is the one table that ties each construction to its
 ``presdim embed`` name, its report tag and the ceiling rule that
 ``bounds.upper_bounds`` evaluates; a ceiling and its builder's claimed bound
-share the dimension arithmetic defined here.
+share the dimension arithmetic defined here. Ceiling rules do no graph work:
+they read the level-free :class:`GraphFacts` that ``graph_facts`` computes
+once per graph.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,6 +62,8 @@ __all__ = [
     "center_and_normalize",
     "result_to_json",
     "result_from_json",
+    "GraphFacts",
+    "graph_facts",
     "Construction",
     "CONSTRUCTIONS",
     "BY_TAG",
@@ -504,6 +509,12 @@ def schoenberg_embedding(g: Graph) -> EmbeddingResult:
     Neighbors land at sqrt(1 - 1/lambda), non-neighbors at 1, giving the
     supremal level (1 - 1/lambda)^(-1/2).
     """
+    return _schoenberg(g)[0]
+
+
+def _schoenberg(g: Graph) -> tuple[EmbeddingResult, float]:
+    """``schoenberg_embedding`` together with the quotient's top eigenvalue
+    lambda, which is 0 for a single neighborhood class."""
     h, vmap = quotient_with_map(g)
     if h.n == 1:
         # Single neighborhood class (complete graph): one point suffices.
@@ -514,7 +525,7 @@ def schoenberg_embedding(g: Graph) -> EmbeddingResult:
             claimed_r=1.0,
             claimed_dim_bound=0,
             source="schoenberg",
-        )
+        ), 0.0
     if h.edge_count == 0:
         raise ValueError("spectral embedding needs at least one quotient edge")
     a = h.adjacency_matrix()
@@ -547,7 +558,7 @@ def schoenberg_embedding(g: Graph) -> EmbeddingResult:
         claimed_r=(big + 1.0) / 2,
         claimed_dim_bound=l2_dim(pts.shape[1]),
         source="schoenberg",
-    )
+    ), lam
 
 
 # -- random projection --------------------------------------------------------------
@@ -720,8 +731,8 @@ def result_from_json(text: str) -> EmbeddingResult:
 
 
 # -- the construction table ---------------------------------------------------------
-# Builders take (g, alpha, seed, limits). A ceiling rule takes (g, alpha, cover),
-# cover being the clique partition the report counts, and gives (value, note)
+# Builders take (g, alpha, seed, limits). A ceiling rule takes (facts, alpha),
+# facts being the level-free GraphFacts of the graph, and gives (value, note)
 # where its bound applies and (None, reason for the omission) elsewhere.
 
 
@@ -729,6 +740,43 @@ def require_seed(seed: int | None) -> int:
     if seed is None:
         raise ValueError("this operation is randomized; pass --seed")
     return seed
+
+
+@dataclass(frozen=True)
+class GraphFacts:
+    """The level-free graph invariants the ceiling rules read.
+
+    ``cover`` is the gated clique partition the report counts, ``quotient``
+    the neighborhood-class quotient, ``block_classes`` the largest number of
+    neighborhood classes inside one cover block and ``degree`` the common
+    degree of a regular graph on at least 2 vertices (None otherwise).
+    """
+
+    n: int
+    cover: VertexPartition
+    quotient: Graph
+    block_classes: int
+    degree: int | None
+
+    @cached_property
+    def lam(self) -> float:
+        """Top adjacency eigenvalue of the quotient, computed on first use:
+        BLAS worker threads spin for a while after ``eigvalsh``, which would
+        cost CPU time on every report whose levels never read it."""
+        return spectrum_top2(self.quotient)[0]
+
+
+def graph_facts(g: Graph, limits: Limits = DEFAULT_LIMITS) -> GraphFacts:
+    """Compute the facts every ceiling rule reads, once per graph."""
+    cover = gated_clique_cover(g, limits.exact_cover)
+    degrees = set(g.degrees())
+    return GraphFacts(
+        n=g.n,
+        cover=cover,
+        quotient=quotient_by_neighborhood(g),
+        block_classes=max((neighborhood_class_count(g, b) for b in cover.blocks), default=1),
+        degree=degrees.pop() if len(degrees) == 1 and g.n > 1 else None,
+    )
 
 
 Ceiling = tuple[float | None, str]
@@ -741,52 +789,51 @@ class Construction:
     tag: str | None
     cli: str | None
     build: Callable[[Graph, float, int | None, Limits], EmbeddingResult]
-    ceiling: Callable[[Graph, float, VertexPartition], Ceiling] | None = None
+    ceiling: Callable[[GraphFacts, float], Ceiling] | None = None
 
 
-def _collapse_ceiling(g: Graph, alpha: float, cover: VertexPartition) -> Ceiling:
+def _collapse_ceiling(facts: GraphFacts, alpha: float) -> Ceiling:
     if alpha >= 1:
         return None, "needs alpha < 1"
-    return float(linf_dim(grid_dim(cover.size, int_ceil(1 / alpha)))), ""
+    return float(linf_dim(grid_dim(facts.cover.size, int_ceil(1 / alpha)))), ""
 
 
-def _pseudo_metric_ceiling(g: Graph, alpha: float, cover: VertexPartition) -> Ceiling:
+def _pseudo_metric_ceiling(facts: GraphFacts, alpha: float) -> Ceiling:
     if alpha < 1:
         return None, "needs alpha >= 1"
     if alpha == 1:
         note = "limit realization of the (1, 2) construction"
-        return float(pseudo_metric_dim(cover.size, 1, 1.0)), note
-    classes = max((neighborhood_class_count(g, b) for b in cover.blocks), default=1)
-    return float(pseudo_metric_dim(cover.size, classes, alpha)), ""
+        return float(pseudo_metric_dim(facts.cover.size, 1, 1.0)), note
+    return float(pseudo_metric_dim(facts.cover.size, facts.block_classes, alpha)), ""
 
 
-def _quotient_ceiling(g: Graph, alpha: float, cover: VertexPartition) -> Ceiling:
+def _quotient_ceiling(facts: GraphFacts, alpha: float) -> Ceiling:
     if alpha < 1:
         return None, "collapse bound already applies below 1"
-    return float(linf_dim(neighborhood_class_count(g))), ""
+    return float(linf_dim(facts.quotient.n)), ""
 
 
-def _ball_collapse_ceiling(g: Graph, alpha: float, cover: VertexPartition) -> Ceiling:
+def _ball_collapse_ceiling(facts: GraphFacts, alpha: float) -> Ceiling:
     if alpha >= 1 / math.sqrt(2):
         return None, "needs alpha < 1/sqrt(2)"
-    return float(l2_dim(packing_dim(cover.size, 1.0, alpha))), ""
+    return float(l2_dim(packing_dim(facts.cover.size, 1.0, alpha))), ""
 
 
-def _simplex_ceiling(g: Graph, alpha: float, cover: VertexPartition) -> Ceiling:
+def _simplex_ceiling(facts: GraphFacts, alpha: float) -> Ceiling:
     if alpha >= 1:
         return None, "needs alpha < 1"
     if alpha <= 1 / math.sqrt(3):
         return None, "needs alpha in (1/sqrt(3), 1)"
-    return float(l2_dim(simplex_jl_coords(cover.size, alpha))), ""
+    return float(l2_dim(simplex_jl_coords(facts.cover.size, alpha))), ""
 
 
-def _spectral_ceiling(g: Graph, alpha: float, cover: VertexPartition) -> Ceiling:
+def _spectral_ceiling(facts: GraphFacts, alpha: float) -> Ceiling:
     if alpha < 1:
         return None, "spectral route targets alpha >= 1"
-    quotient = quotient_by_neighborhood(g)
+    quotient = facts.quotient
     if quotient.edge_count == 0:
         return None, "quotient has no edges"
-    lam = spectrum_top2(quotient)[0]
+    lam = facts.lam
     ceiling = math.inf if lam <= 1 else (1.0 - 1.0 / (4.0 * lam)) ** -0.5
     if alpha >= ceiling:
         return None, f"alpha >= (1 - 1/(4 lambda))^-1/2 = {ceiling:.6f}"
@@ -794,20 +841,18 @@ def _spectral_ceiling(g: Graph, alpha: float, cover: VertexPartition) -> Ceiling
     return float(l2_dim(min(spectral_coords(lam, quotient.n), quotient.n - 1))), ""
 
 
-def _regular_ceiling(g: Graph, alpha: float, cover: VertexPartition) -> Ceiling:
-    degs = set(g.degrees())
-    if len(degs) != 1 or g.n <= 1:
+def _regular_ceiling(facts: GraphFacts, alpha: float) -> Ceiling:
+    k = facts.degree
+    if k is None:
         return None, "graph is not regular"
-    k = degs.pop()
     if k < 1:
         return None, "edgeless graph"
     if alpha >= math.sqrt(1.0 + 1.0 / (4.0 * k)):
         return None, "alpha outside (0, sqrt(1 + 1/(4k)))"
-    quotient = quotient_by_neighborhood(g)
-    if quotient.n > 1 and quotient.edge_count == 0:
+    if facts.quotient.n > 1 and facts.quotient.edge_count == 0:
         # Equal disjoint cliques: schoenberg_embedding has no quotient edge to scale.
         return None, "quotient has no edges"
-    return float(spectral_coords(k, g.n)), ""
+    return float(spectral_coords(k, facts.n)), ""
 
 
 def _project(
@@ -819,8 +864,8 @@ def _project(
 
 
 def _spectral_jl(g: Graph, alpha: float, seed: int | None, limits: Limits) -> EmbeddingResult:
-    base = schoenberg_embedding(g)
-    lam, c = spectrum_top2(quotient_by_neighborhood(g))[0], base.n_points
+    base, lam = _schoenberg(g)
+    c = base.n_points
     return _project(base, g, alpha, seed, min(spectral_coords(lam, c), c))
 
 
@@ -831,7 +876,7 @@ def _regular_jl(g: Graph, alpha: float, seed: int | None, limits: Limits) -> Emb
 
 CONSTRUCTIONS: tuple[Construction, ...] = (
     Construction("shortest_path", "spm", lambda g, a, seed, lim: shortest_path_metric(g),
-                 lambda g, a, cover: (float(shortest_path_dim(g.n)), "")),
+                 lambda facts, a: (float(shortest_path_dim(facts.n)), "")),
     Construction("linf_collapse", "collapse",
                  lambda g, a, seed, lim: clique_collapse_linf(g, a, limit=lim.exact_cover),
                  _collapse_ceiling),

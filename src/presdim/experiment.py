@@ -23,8 +23,9 @@ from .bounds import (
     profile_lower,
     subset_profile,
     theorem_formulas,
-    upper_bounds,
+    upper_bounds_from_facts,
 )
+from .construct import graph_facts
 from .graph import (
     Graph,
     derive_seed,
@@ -35,12 +36,7 @@ from .graph import (
     gen_planted_partition,
     NAMED_FAMILIES,
 )
-from .partition import (
-    clique_number,
-    gated_clique_cover,
-    independence_number,
-    neighborhood_class_count,
-)
+from .partition import clique_number, independence_number, neighborhood_class_count
 
 __all__ = [
     "MCResult",
@@ -329,15 +325,14 @@ def _sweep_trial(args: tuple) -> list[TrialRecord]:
     clique_mode = "exact" if g.n <= 128 else "greedy"
     kappa = clique_number(g, mode=clique_mode)
     iota = independence_number(g, mode=clique_mode)
-    cover = gated_clique_cover(g)
-    classes = neighborhood_class_count(g)
+    facts = graph_facts(g)
     profile = subset_profile(g) if any(0 < alpha < 2 for alpha in alphas) else []
     records = []
     for alpha in alphas:
         lower_cp, lower_nb, upper_min = -math.inf, -math.inf, math.inf
         if 0 < alpha < 2:
             lower_cp, lower_nb = profile_lower(profile, alpha)
-            upper_min = min(ub.value for ub in upper_bounds(g, alpha)[0])
+            upper_min = min(ub.value for ub in upper_bounds_from_facts(facts, alpha)[0])
         row = {
             "family": family,
             "n": n,
@@ -352,9 +347,9 @@ def _sweep_trial(args: tuple) -> list[TrialRecord]:
             "clique_number": kappa,
             "independence_number": iota,
             "clique_mode": clique_mode,
-            "cover_size": cover.size,
-            "cover_mode": cover.mode,
-            "n_classes": classes,
+            "cover_size": facts.cover.size,
+            "cover_mode": facts.cover.mode,
+            "n_classes": facts.quotient.n,
             "lower_clique_partition": lower_cp,
             "lower_neighborhood": lower_nb,
             "upper_min": upper_min,

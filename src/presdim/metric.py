@@ -379,7 +379,13 @@ def read_metric(path: str, pseudo: bool = False) -> FiniteMetric:
         lines = [ln for ln in (s.strip() for s in fh) if ln and not ln.startswith("#")]
     n = int(lines[0])
     rows = [[float(tok) for tok in ln.split()] for ln in lines[1 : n + 1]]
-    return FiniteMetric(np.array(rows), pseudo=pseudo)
+    m = FiniteMetric(np.array(rows), pseudo=pseudo)
+    if not np.isfinite(m.dist).all():
+        raise ValueError(f"{path}: distances must be finite")
+    bad = validate_entries(m.dist)
+    if bad is not None:
+        raise ValueError(f"{path}: distances fail {bad.axiom} at {bad.witness} ({bad.detail})")
+    return m
 
 
 def write_points(p: PointSet, path: str) -> None:
@@ -398,4 +404,6 @@ def read_points(path: str) -> PointSet:
     norm = math.inf if p_tok == "inf" else float(p_tok)
     rows = [[float(tok) for tok in ln.split()] for ln in lines[1 : n + 1]]
     pts = np.array(rows, dtype=np.float64).reshape(n, dim)
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{path}: coordinates must be finite")
     return PointSet(pts, norm=norm)

@@ -177,16 +177,15 @@ def measured_distortion(g: Graph, p: PointSet) -> float:
     """Best-scaling distortion of a point set against the shortest-path metric.
 
     Computed as (max ratio)/(min ratio) of embedded over path distance across
-    all vertex pairs; the scale constant cancels. Requires a connected graph.
+    all vertex pairs; the scale constant cancels. Requires a connected graph
+    and raises ``ValueError`` on a NaN distance, as ``check`` does.
     """
-    if p.n != g.n:
-        raise ValueError("point count must match vertex count")
+    emb = vertex_distance_matrix(g, p)[0]
     paths = all_pairs_distances(g)
     if math.isinf(paths.max()):
         raise ValueError("distortion needs a connected graph")
     if g.n < 2:
         return 1.0
-    emb = p.distance_matrix()
     iu = np.triu_indices(g.n, k=1)
     ratios = emb[iu] / paths[iu]
     lo = float(ratios.min())

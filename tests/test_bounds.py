@@ -1,8 +1,10 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from presdim import bounds
+from presdim import bounds, construct, experiment, graph, partition
 from presdim.bounds import (
     clique_number_markov_ceiling,
     cluster_saliency,
@@ -16,8 +18,8 @@ from presdim.bounds import (
     theorem_formulas,
     upper_bounds,
 )
-from presdim.config import Limits
-from presdim.experiment import sweep
+from presdim.config import DEFAULT_LIMITS, Limits
+from presdim.experiment import rows_to_csv, sweep
 from presdim.graph import (
     Graph,
     diameter,
@@ -25,6 +27,7 @@ from presdim.graph import (
     gen_gnp,
     gen_kregular,
     gen_named,
+    gen_planted_partition,
     quotient_by_neighborhood,
     spectrum_top2,
 )
@@ -289,3 +292,80 @@ def test_l2_regular_omitted_on_disjoint_equal_cliques():
         assert all(ub.verified for ub in rep.upper_bounds)
     # one neighborhood class: the complete graph keeps the row
     assert "l2_regular" in [ub.tag for ub in report(gen_named("complete", 5), 0.8).upper_bounds]
+
+
+def _counted(monkeypatch, module, name):
+    """Count calls to ``module.name`` from every presdim module that imported it."""
+    calls, original = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod in (graph, partition, construct, bounds, experiment):
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_graph_facts_are_computed_once_per_report_and_sweep_trial(monkeypatch):
+    covers = _counted(monkeypatch, partition, "gated_clique_cover")
+    quotients = _counted(monkeypatch, graph, "quotient_with_map")
+    spectra = _counted(monkeypatch, graph, "spectrum_top2")
+
+    def counts(run):
+        for calls in (covers, quotients, spectra):
+            calls.clear()
+        run()
+        return len(covers), len(quotients), len(spectra)
+
+    g = gen_gnp(30, 0.5, 3)
+    assert counts(lambda: report(g, 0.8, validate=False)) == (1, 1, 0)
+    assert counts(lambda: report(g, 1.5, validate=False)) == (1, 1, 1)
+    cfg = {"family": "gnp", "n": 30, "trials": 1, "alpha_grid": "0.6,0.8,1.2,1.5,1.8"}
+    assert counts(lambda: sweep(cfg)) == (1, 1, 1)  # one of each per trial
+
+
+GOLDEN_LEVELS = "0.5,0.7,0.9,1.0,1.2,1.5,1.8,2.0,2.5"
+GOLDEN_SWEEPS = [
+    ({"family": "gnp", "n": 24, "p": 0.5, "trials": 2, "seed": 5},
+     "bce8f4edfee74fcdd1ab7d5fa0ede4cb1be808d5d6b2c63245f201cf6aedf167"),
+    ({"family": "planted", "n": 12, "k": 3, "p": 0.9, "q": 0.2, "trials": 2, "seed": 5},
+     "d4ad3f6ba7ec560dbae5b0524ef24798a72a33f111b7fd078752e2c4b48c7d8f"),
+    ({"family": "kregular", "n": 12, "k": 4, "trials": 2, "seed": 5},
+     "7c6b69d20cf02a6a1a8ada749846cc1cd15266ed1a2396ed04c6dc9e97f95066"),
+    ({"family": "cycle", "n": 9},
+     "d4c20401c2b7e8fc72696f1bccd26d9419dbe7be5ab91e4d3532cd793089602e"),
+    ({"family": "two_cliques_matched", "n": 10},
+     "4ca80bcc621f6514617c82d034960648bef744cab9dd4bacd5ba9ea43efb20c7"),
+]
+GOLDEN_REPORTS = {
+    "exact": "a4f65a19b53a0dd623405d7f3cfd235d6623497ff218ad7072c57cacf60ac622",
+    "greedy": "52326cae1f4d263a81942f8c6a989a5467dc662ed5f21f6127259e02e9a2a115",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_sweep_and_report_output_is_pinned():
+    # Digests recorded before the ceiling rules moved onto per-graph facts.
+    for cfg, digest in GOLDEN_SWEEPS:
+        assert _sha256(rows_to_csv(sweep(dict(cfg, alpha_grid=GOLDEN_LEVELS)))) == digest, cfg
+    graphs = [
+        gen_gnp(14, 0.5, 1),
+        gen_planted_partition([4, 4, 4], 0.9, 0.2, 2),
+        gen_kregular(10, 3, 3),
+        gen_named("cycle", 8),
+        gen_named("two_cliques_matched", 8),
+        gen_named("complete_bipartite", 7),
+    ]
+    greedy = replace(DEFAULT_LIMITS, exact_cover=0)
+    for mode, limits in (("exact", DEFAULT_LIMITS), ("greedy", greedy)):
+        docs = "\n".join(
+            report_to_json(report(g, alpha, limits=limits))
+            for g in graphs
+            for alpha in (0.5, 0.8, 1.0, 1.5, 1.9, 2.0)
+        )
+        assert _sha256(docs) == GOLDEN_REPORTS[mode], mode

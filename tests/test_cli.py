@@ -150,3 +150,24 @@ def test_verify_rejects_malformed_embedding(tmp_path, edit, alpha):
     edit(doc)
     emb_path.write_text(json.dumps(doc))
     assert main(["verify", str(g_path), str(emb_path), "--alpha", alpha]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--metric", "3\n0 1 nan\n1 0 1\nnan 1 0\n"),
+        ("--metric", "3\n0 1 inf\n1 0 1\ninf 1 0\n"),
+        ("--metric", "3\n0 1 -5\n1 0 1\n-5 1 0\n"),
+        ("--metric", "3\n0 1 2\n1 0 1\n3 1 0\n"),
+        ("--points", "3 1 2\n0\n1\nnan\n"),
+        ("--points", "3 1 2\n0\n1\ninf\n"),
+    ],
+    ids=[
+        "nan-distance", "inf-distance", "negative-distance", "asymmetric-distance",
+        "nan-point", "inf-point",
+    ],
+)
+def test_doubling_rejects_malformed_input(tmp_path, flag, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert main(["doubling", flag, str(path)]) == 2

@@ -54,6 +54,8 @@ def test_check_rejects_nan_distances():
     for emb in (FiniteMetric(d), d, PointSet(pts, norm=2.0)):
         with pytest.raises(ValueError, match="NaN"):
             check(g, emb, 1.5)
+    with pytest.raises(ValueError, match="NaN"):
+        measured_distortion(P3, PointSet(pts, norm=2.0))
 
 
 def test_certificate_witness_threshold():
