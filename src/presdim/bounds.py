@@ -17,9 +17,11 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from .config import DEFAULT_LIMITS, Limits
 from .construct import BY_TAG, CONSTRUCTIONS, GraphFacts, graph_facts
-from .graph import Graph, bfs_distances, connected_components, diameter
+from .graph import Graph, ball_matrices, connected_components, diameter
 from .partition import (
     SearchBudgetExceeded,
     clique_cover,
@@ -91,10 +93,10 @@ def _candidate_subsets(g: Graph, extra: Sequence[Sequence[int]] | None) -> list[
 
     for comp in connected_components(g):
         add(comp)
+    balls = ball_matrices(g, max(_BALL_RADII))
     for v in range(g.n):
-        dist = bfs_distances(g, v)
         for rad in _BALL_RADII:
-            add([u for u in range(g.n) if dist[u] <= rad])
+            add(np.flatnonzero(balls[rad - 1][v]).tolist())
     for subset in extra or ():
         add(subset)
     return out

@@ -1,18 +1,20 @@
 """Graph container, named and random generators, and basic statistics.
 
-Adjacency is stored as one packed bit row per vertex (arbitrary-precision
+Adjacency is stored twice: as one packed bit row per vertex (arbitrary-precision
 Python ints), which gives constant-time edge queries and word-parallel
-neighborhood intersections. Graphs are immutable after construction and
-safe to share across threads; every generator is a pure function of its
-parameters and seed.
+neighborhood intersections, and as one read-only boolean matrix
+(``Graph.matrix``), which drives validation, induction and the distance
+computations as whole-array operations. Graphs are immutable after
+construction and safe to share across threads; every generator is a pure
+function of its parameters and seed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +34,7 @@ __all__ = [
     "bfs_distances",
     "all_pairs_distances",
     "diameter",
+    "ball_matrices",
     "connected_components",
     "neighborhood_class_masks",
     "quotient_by_neighborhood",
@@ -69,17 +72,54 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# Entries per block of the random draws and of the symmetry check; bounds
+# their transient memory.
+_BLOCK_ENTRIES = 2**14
+# Largest m*n*k of one block of a matrix product. OpenBLAS runs a product this
+# small on the calling thread (measured: up to about 10^6 with 2 threads); a
+# larger one wakes its worker threads, which then spin for about 0.13 s of CPU
+# time after the call returns.
+_GEMM_BLOCK = 2**19
+# The right operand of a product is converted to float this many column
+# panels at a time, each about as large as the boolean matrix itself.
+_PANELS = 4
+# float32 represents every integer below 2^24, so a 0/1 or count product stays
+# exact in float32 while its partial sums do.
+_FLOAT32_EXACT = 2**24
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block of a pass over an array with n columns."""
+    return max(1, _BLOCK_ENTRIES // max(n, 1))
+
+
+def _unpack_rows(rows: Sequence[int], n: int) -> np.ndarray:
+    """(n, n) boolean matrix whose row v holds the bits of ``rows[v]``."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
+
+
+def _pack_rows(a: np.ndarray) -> tuple[int, ...]:
+    """Bit rows of a square boolean matrix (inverse of ``_unpack_rows``)."""
+    packed = np.packbits(a, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return tuple(int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(a)))
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
     ``rows[v]`` is the neighbor bitmask of ``v`` (self bit never set).
     ``blocks`` optionally records planted-partition labels per vertex.
+    ``matrix`` is the same adjacency as a read-only (n, n) boolean array.
     """
 
     n: int
     rows: tuple[int, ...]
     blocks: tuple[int, ...] | None = None
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0 or len(self.rows) != self.n:
@@ -89,11 +129,14 @@ class Graph:
                 raise ValueError(f"row {v} references vertices >= n")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-        # Symmetry: u in rows[v] iff v in rows[u].
-        for v, row in enumerate(self.rows):
-            for u in bits(row):
-                if not (self.rows[u] >> v) & 1:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        a = _unpack_rows(self.rows, self.n)
+        # Symmetry: u in rows[v] iff v in rows[u]; report the first (v, u) in row order.
+        step = _block_rows(self.n)
+        if not all(np.array_equal(a[lo : lo + step], a[:, lo : lo + step].T) for lo in range(0, self.n, step)):
+            v, u = np.argwhere(a & ~a.T)[0]
+            raise ValueError(f"asymmetric adjacency between {u} and {v}")
+        a.flags.writeable = False
+        object.__setattr__(self, "matrix", a)
         if self.blocks is not None and len(self.blocks) != self.n:
             raise ValueError("blocks must label every vertex")
 
@@ -134,23 +177,13 @@ class Graph:
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Subgraph induced by ``vertices`` (relabeled 0..len-1 in given order)."""
-        idx = {v: i for i, v in enumerate(vertices)}
-        if len(idx) != len(vertices):
+        if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertices in induced subset")
-        rows = [0] * len(vertices)
-        for v, i in idx.items():
-            for u in bits(self.rows[v]):
-                j = idx.get(u)
-                if j is not None:
-                    rows[i] |= 1 << j
-        return Graph(len(vertices), tuple(rows))
+        idx = np.asarray(vertices, dtype=np.intp)
+        return Graph(len(idx), _pack_rows(self.matrix[np.ix_(idx, idx)]))
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        for u in range(self.n):
-            for v in bits(self.rows[u]):
-                a[u, v] = 1.0
-        return a
+        return self.matrix.astype(np.float64)
 
     def digest(self) -> str:
         """Stable hex digest of the labeled graph (used in certificates)."""
@@ -190,29 +223,39 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def _sample_pairs(n: int, seed: int, prob: Callable[[int, int], float | np.ndarray]) -> tuple[int, ...]:
+    """Rows of a graph on n vertices whose pair u < v is an edge iff its uniform
+    draw falls below its probability. Pairs take draws in row-major order, the
+    order of a double loop over u then v > u; ``prob(lo, hi)`` gives the
+    probabilities of rows lo:hi as a scalar or an (hi - lo, n) array."""
+    rng = rng_for(seed)
+    a = np.zeros((n, n), dtype=bool)
+    cols = np.arange(n)
+    step = _block_rows(n)
+    for lo in range(0, n, step):
+        upper = cols[None, :] > cols[lo : lo + step, None]
+        limit = prob(lo, lo + step)
+        if np.ndim(limit):
+            limit = limit[upper]
+        a[lo : lo + step][upper] = rng.random(int(np.count_nonzero(upper))) < limit
+    a |= a.T
+    return _pack_rows(a)
+
+
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdős–Rényi graph: each of the C(n,2) edges present with probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
-    rng = rng_for(seed)
-    rows = [0] * n
-    if n >= 2:
-        draws = rng.random(n * (n - 1) // 2)
-        idx = 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (p == 1.0) or (draws[idx] < p):
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                idx += 1
-    return Graph(n, tuple(rows))
+    return Graph(n, _sample_pairs(n, seed, lambda lo, hi: p))
 
 
 def gen_kregular(n: int, k: int, seed: int, restarts: int = 1000) -> Graph:
     """Sample a simple k-regular graph by the pairing (configuration) model.
 
     Pairings producing self-loops or multi-edges are rejected wholesale and
-    the shuffle is restarted, up to ``restarts`` attempts.
+    the shuffle is restarted, up to ``restarts`` attempts. When all of them
+    fail (likely for k >= 6), the same stream continues into up to
+    ``restarts`` attempts of the Steger–Wormald sampler.
     """
     if k >= n:
         raise ValueError("degree must be smaller than vertex count")
@@ -236,7 +279,34 @@ def gen_kregular(n: int, k: int, seed: int, restarts: int = 1000) -> Graph:
             rows[v] |= 1 << u
         if ok:
             return Graph(n, tuple(rows))
-    raise GenerationError(f"pairing model failed within {restarts} restarts")
+    for _ in range(restarts):
+        rows = _steger_wormald(n, k, rng)
+        if rows is not None:
+            return Graph(n, tuple(rows))
+    raise GenerationError(f"pairing model and Steger–Wormald sampler failed within {restarts} restarts each")
+
+
+def _steger_wormald(n: int, k: int, rng: np.random.Generator) -> list[int] | None:
+    """One attempt of the Steger–Wormald sampler (Combin. Probab. Comput. 1999)
+    in its batched form: pair the unpaired stubs at random, keep every pair
+    that adds a new simple edge, and repeat on the stubs left over. None when
+    the leftover stubs admit no new edge."""
+    rows = [0] * n
+    stubs = np.repeat(np.arange(n, dtype=np.int64), k)
+    while stubs.size:
+        rng.shuffle(stubs)
+        left: list[int] = []
+        for u, v in stubs.reshape(-1, 2).tolist():
+            if u != v and not (rows[u] >> v) & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            else:
+                left += (u, v)
+        ends = set(left)
+        if left and not any(u != v and not (rows[u] >> v) & 1 for u in ends for v in ends):
+            return None
+        stubs = np.array(left, dtype=np.int64)
+    return rows
 
 
 def gen_planted_partition(
@@ -250,23 +320,13 @@ def gen_planted_partition(
         raise ValueError("blocks must be nonempty")
     if not (0.0 <= q <= p <= 1.0):
         raise ValueError("require 0 <= q <= p <= 1")
-    n = sum(sizes)
-    labels: list[int] = []
-    for b, s in enumerate(sizes):
-        labels.extend([b] * s)
-    rng = rng_for(seed)
-    rows = [0] * n
-    if n >= 2:
-        draws = rng.random(n * (n - 1) // 2)
-        idx = 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                prob = p if labels[u] == labels[v] else q
-                if (prob == 1.0) or (draws[idx] < prob):
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                idx += 1
-    return Graph(n, tuple(rows), blocks=tuple(labels))
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+
+    def prob(lo: int, hi: int) -> np.ndarray:
+        return np.where(labels[lo:hi, None] == labels[None, :], p, q)
+
+    rows = _sample_pairs(len(labels), seed, prob)
+    return Graph(len(labels), rows, blocks=tuple(labels.tolist()))
 
 
 NAMED_FAMILIES = (
@@ -342,25 +402,108 @@ def bfs_distances(g: Graph, src: int) -> list[float]:
     return dist
 
 
+def _product_blocks(x: np.ndarray, y: np.ndarray, bound: int) -> Iterator[tuple[slice, slice, np.ndarray]]:
+    """Yield ``(rows, cols, x[rows] @ y[:, cols])`` over square blocks of the
+    product x @ y, for a symmetric y. The product runs in float32 when every
+    partial sum stays below ``bound`` < 2^24 (exact there), else in float64.
+    y is converted one column panel at a time (a quarter of its columns, as
+    many bytes as the boolean matrix), x one row block per panel."""
+    n = len(x)
+    dtype = np.float32 if bound < _FLOAT32_EXACT else np.float64
+    step = max(1, math.isqrt(_GEMM_BLOCK // max(n, 1)))
+    width = step * max(1, -(-n // (_PANELS * step)))
+    for p in range(0, n, width):
+        panel = y[p : p + width].astype(dtype)  # y[:, p:p+width], as y is symmetric
+        for r in range(0, n, step):
+            left = x[r : r + step].astype(dtype)
+            for c in range(0, len(panel), step):
+                yield slice(r, r + step), slice(p + c, p + c + step), left @ panel[c : c + step].T
+        del panel, left  # before the next panel is allocated
+
+
+def _reach_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Boolean product: (x @ y)[u, w] is set iff some v has x[u, v] and y[v, w].
+    Reachability matrices are symmetric, so y is."""
+    out = np.empty(x.shape, dtype=bool)
+    for rows, cols, block in _product_blocks(x, y, len(x)):
+        np.greater(block, 0, out=out[rows, cols])
+    return out
+
+
+def ball_matrices(g: Graph, radius: int) -> list[np.ndarray]:
+    """Boolean matrices whose entry ``r - 1`` holds, in row v, the vertices
+    within r hops of v, for r = 1..radius (one product per radius above 1)."""
+    step = g.matrix.copy()
+    np.fill_diagonal(step, True)
+    balls = [step]
+    for _ in range(radius - 1):
+        balls.append(_reach_product(balls[-1], step))
+    return balls
+
+
+def _seidel(a: np.ndarray, out: np.ndarray) -> None:
+    """Write the hop distances of a connected graph, given by its boolean
+    adjacency a, into ``out`` (Seidel, JCSS 1995). The square graph B (pairs
+    within two hops) has distances t = ceil(d / 2), and d(i, j) is even iff
+    the sum of t(i, k) over the neighbors k of j reaches deg(j) * t(i, j)."""
+    n = len(a)
+    b = _reach_product(a, a)
+    b |= a
+    np.fill_diagonal(b, False)
+    if np.count_nonzero(b) == n * (n - 1):
+        np.multiply(b, 2, out=out)
+        np.subtract(out, a, out=out)
+        return
+    t = np.empty((n, n), dtype=np.int32)
+    _seidel(b, t)
+    del b
+    deg = np.count_nonzero(a, axis=0)
+    for rows, cols, x in _product_blocks(t, a, n * n):
+        half = t[rows, cols]
+        out[rows, cols] = 2 * half - (x < half * deg[cols])
+
+
 def all_pairs_distances(g: Graph) -> np.ndarray:
-    """Dense matrix of BFS distances (``inf`` across components)."""
+    """Dense matrix of hop distances (``inf`` across components), by Seidel's
+    algorithm on each connected component."""
     out = np.full((g.n, g.n), np.inf)
-    for s in range(g.n):
-        out[s] = bfs_distances(g, s)
+    for comp in connected_components(g):
+        if len(comp) == g.n:
+            _seidel(g.matrix, out)
+        else:
+            idx = np.ix_(comp, comp)
+            block = np.empty((len(comp), len(comp)))
+            _seidel(g.matrix[idx], block)
+            out[idx] = block
     return out
 
 
 def diameter(g: Graph) -> float:
-    """Exact diameter via all-pairs BFS; ``inf`` iff disconnected, 0 for n=1."""
+    """Exact diameter; ``inf`` iff disconnected, 0.0 for n=1, else an int.
+
+    Squares the reachability matrix R = A or I until every pair is reached
+    (``inf`` if it stops growing first), then binary-lifts from the last
+    power that falls short: O(log D) boolean products in all.
+    """
     if g.n == 0:
         raise ValueError("diameter of the empty vertex set is undefined")
-    worst = 0.0
-    for s in range(g.n):
-        ecc = max(bfs_distances(g, s))
-        if math.isinf(ecc):
+    if g.n == 1:
+        return 0.0
+    powers = ball_matrices(g, 1)  # powers[i]: pairs within 2^i hops
+    while not powers[-1].all():
+        nxt = _reach_product(powers[-1], powers[-1])
+        if np.count_nonzero(nxt) == np.count_nonzero(powers[-1]):  # a superset, so equal
             return math.inf
-        worst = max(worst, ecc)
-    return worst
+        powers.append(nxt)
+    if len(powers) == 1:
+        return 1
+    # 2^(j-1) < D <= 2^j for j = len(powers) - 1; find the largest h < D.
+    hops, reach = 2 ** (len(powers) - 2), powers[-2]
+    for i in range(len(powers) - 3, -1, -1):
+        nxt = _reach_product(reach, powers[i])
+        if not nxt.all():
+            hops, reach = hops + 2**i, nxt
+    return hops + 1
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -406,14 +549,7 @@ def quotient_with_map(g: Graph) -> tuple[Graph, list[int]]:
     for i, mask in enumerate(masks):
         for v in bits(mask):
             vmap[v] = i
-    k = len(reps)
-    rows = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if g.has_edge(reps[i], reps[j]):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(k, tuple(rows)), vmap
+    return Graph(len(reps), _pack_rows(g.matrix[np.ix_(reps, reps)])), vmap
 
 
 def quotient_by_neighborhood(g: Graph) -> Graph:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, asdict
 from typing import Any
 
@@ -104,8 +105,9 @@ def vertex_distance_matrix(g: Graph, emb: Any) -> tuple[np.ndarray, str]:
 def _extremes(g: Graph, dists: np.ndarray) -> tuple[float, float, float]:
     """M, m and the supremal level m/M, which is 0 when m = 0 and inf when
     M = 0 or no non-neighbor pair exists."""
-    adj = g.adjacency_matrix() > 0
-    nonadj = ~adj & ~np.eye(g.n, dtype=bool)
+    adj = g.matrix
+    nonadj = ~adj
+    np.fill_diagonal(nonadj, False)
     big = float(dists[adj].max()) if adj.any() else 0.0
     small = float(dists[nonadj].min()) if nonadj.any() else math.inf
     if small == 0.0:
@@ -124,27 +126,52 @@ def alpha_max(g: Graph, emb: Any) -> float:
     return _extremes(g, vertex_distance_matrix(g, emb)[0])[2]
 
 
+def _sign(x: float, a: float, b: float) -> int:
+    """Sign of x - a*b, exact for finite floats (as integer ratios)."""
+    xn, xd = x.as_integer_ratio()
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    diff = xn * ad * bd - an * bn * xd
+    return (diff > 0) - (diff < 0)
+
+
+def _witness(big: float, small: float, alpha: float, r: float) -> float | None:
+    """The float nearest ``r`` by whole ulps with big < r and alpha*r <= small
+    exactly, or None when no float lies in (big, small/alpha]."""
+    while r <= big:
+        r = math.nextafter(r, math.inf)
+    if small == math.inf:
+        return r
+    r = min(r, sys.float_info.max)  # r = inf when small/alpha overflows
+    while _sign(small, alpha, r) < 0:
+        r = math.nextafter(r, -math.inf)
+        if r <= big:
+            return None
+    return r
+
+
 def check(g: Graph, emb: Any, alpha: float) -> PreservationCertificate:
     """Certify whether ``emb`` preserves ``g`` at level ``alpha``.
 
-    On success the witness threshold is recorded as
-    r = (M + min(m/alpha, next larger distance)) / 2, which satisfies
-    M < r and alpha*r <= m.
+    m > alpha*M is decided in exact rational arithmetic. On success the
+    witness threshold is r = (M + min(m/alpha, next larger distance)) / 2,
+    moved by whole ulps until M < r and alpha*r <= m hold exactly; when no
+    float lies in (M, m/alpha] the check fails closed.
     """
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
     dists, space = vertex_distance_matrix(g, emb)
     big, small, amax = _extremes(g, dists)
-    passed = small > alpha * big
     r: float | None = None
-    if passed:
+    if math.isfinite(big) and (small == math.inf or _sign(small, alpha, big) > 0):
         caps = []
         if small != math.inf:
             caps.append(small / alpha)
         larger = dists[dists > big]
         if larger.size:
             caps.append(float(larger.min()))
-        r = (big + min(caps)) / 2 if caps else big + 1.0
+        r = _witness(big, small, alpha, (big + min(caps)) / 2 if caps else big + 1.0)
+    passed = r is not None
     return PreservationCertificate(
         graph_digest=g.digest(),
         space=space,

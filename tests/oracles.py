@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
-from presdim.graph import Graph
+from presdim.graph import Graph, rng_for
 
 
 def set_partitions(items: list[int]):
@@ -191,3 +191,59 @@ def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
     return Graph(n, tuple(rows))
+
+
+def gnp_oracle(n: int, p: float, seed: int) -> tuple[int, ...]:
+    """Rows of G(n, p) by the double loop over pairs u < v, one draw each."""
+    return planted_oracle([n], p, p, seed) if n else ()
+
+
+def planted_oracle(sizes, p: float, q: float, seed: int) -> tuple[int, ...]:
+    """Rows of the planted-partition graph by the double loop over pairs u < v,
+    one draw each: p inside a block, q across blocks."""
+    labels = [b for b, s in enumerate(sizes) for _ in range(s)]
+    n = len(labels)
+    rows = [0] * n
+    if n >= 2:
+        draws = rng_for(seed).random(n * (n - 1) // 2)
+        idx = 0
+        for u in range(n):
+            for v in range(u + 1, n):
+                prob = p if labels[u] == labels[v] else q
+                if (prob == 1.0) or (draws[idx] < prob):
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+                idx += 1
+    return tuple(rows)
+
+
+def graph_error_oracle(n: int, rows) -> str | None:
+    """The message ``Graph(n, rows)`` must reject ``rows`` with, by a bit-by-bit
+    scan: range and self-loop per row in order, then symmetry row by row."""
+    for v, row in enumerate(rows):
+        if row >> n:
+            return f"row {v} references vertices >= n"
+        if (row >> v) & 1:
+            return f"self-loop at vertex {v}"
+    for v, row in enumerate(rows):
+        for u in range(n):
+            if (row >> u) & 1 and not (rows[u] >> v) & 1:
+                return f"asymmetric adjacency between {u} and {v}"
+    return None
+
+
+def induced_oracle(g: Graph, vertices) -> tuple[int, ...]:
+    """Rows of the subgraph induced by ``vertices``, relabeled in the given order."""
+    rows = [0] * len(vertices)
+    for i, u in enumerate(vertices):
+        for j, v in enumerate(vertices):
+            if g.has_edge(u, v):
+                rows[i] |= 1 << j
+    return tuple(rows)
+
+
+def distances_oracle(g: Graph) -> np.ndarray:
+    """All-pairs hop distances through scipy's shortest-path solver on a dense
+    matrix read edge by edge."""
+    a = np.array([[1.0 if g.has_edge(u, v) else 0.0 for v in range(g.n)] for u in range(g.n)])
+    return shortest_path(a.reshape(g.n, g.n), method="D", unweighted=True)

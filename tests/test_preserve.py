@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presdim.construct import (
     clique_collapse_linf,
@@ -174,3 +177,44 @@ def test_certificate_json_round_trip():
     cert_inf = check(k3, PointSet(np.array([[0.0], [1.0], [2.0]])), 1.5)
     back = certificate_from_json(certificate_to_json(cert_inf))
     assert back.min_nonneighbor == math.inf and back.alpha_max == math.inf
+
+
+def _p3_matrix(big: float, small: float) -> np.ndarray:
+    """Raw distances on the 3-vertex path: neighbors at big, the ends at small."""
+    return np.array([[0.0, big, small], [big, 0.0, big], [small, big, 0.0]])
+
+
+def _is_witness(r: float, big: float, small: float, alpha: float) -> bool:
+    return r > big and Fraction(alpha) * Fraction(r) <= Fraction(small)
+
+
+def test_check_records_an_exact_witness_at_the_float_boundary():
+    big, small, alpha = 9.836415859114206, 5.186181508141985, 0.5272430103020281
+    assert Fraction(small) > Fraction(alpha) * Fraction(big)
+    # No float lies in (M, m/alpha]: the smallest float above M already fails.
+    assert not _is_witness(math.nextafter(big, math.inf), big, small, alpha)
+    cert = check(P3, _p3_matrix(big, small), alpha)
+    assert not cert.passed and cert.r is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.floats(1e-6, 1e6),
+    st.floats(0.01, 1.99),
+    st.one_of(st.integers(-4, 4), st.floats(-1.0, 1.0)),
+)
+def test_check_witness_is_exact(big, alpha, shift):
+    """Near the boundary (m a few ulps from alpha*M) and away from it: a passing
+    certificate's r lies in (M, m/alpha] exactly, a failing one has no float there."""
+    small = alpha * big
+    if isinstance(shift, int):
+        for _ in range(abs(shift)):
+            small = math.nextafter(small, math.copysign(math.inf, shift))
+    else:
+        small *= 1.0 + shift
+    cert = check(P3, _p3_matrix(big, small), alpha)
+    if cert.passed:
+        assert _is_witness(cert.r, big, small, alpha)
+    else:
+        assert cert.r is None
+        assert not _is_witness(math.nextafter(big, math.inf), big, small, alpha)
