@@ -101,7 +101,8 @@ def _unpack_rows(rows: Sequence[int], n: int) -> np.ndarray:
 
 
 def _pack_rows(a: np.ndarray) -> tuple[int, ...]:
-    """Bit rows of a square boolean matrix (inverse of ``_unpack_rows``)."""
+    """Bit rows of a 2-d boolean array: bit j of row i is ``a[i, j]``
+    (inverse of ``_unpack_rows`` on square matrices)."""
     packed = np.packbits(a, axis=1, bitorder="little")
     data, width = packed.tobytes(), packed.shape[1]
     return tuple(int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(a)))
@@ -187,11 +188,9 @@ class Graph:
 
     def digest(self) -> str:
         """Stable hex digest of the labeled graph (used in certificates)."""
-        h = hashlib.sha256()
-        h.update(f"n={self.n};".encode())
-        for u, v in self.edges():
-            h.update(f"{u},{v};".encode())
-        return h.hexdigest()[:16]
+        u, v = np.nonzero(np.triu(self.matrix, 1))  # edges() order: row-major, u < v
+        text = f"n={self.n};" + "".join(map("{},{};".format, u.tolist(), v.tolist()))
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_LIMITS
-from .graph import bits
+from .graph import _pack_rows as _row_masks, bits
 
 __all__ = [
     "FiniteMetric",
@@ -182,19 +182,6 @@ def validate_metric(m: FiniteMetric, tol: float = METRIC_TOL) -> MetricViolation
 # -- covering numbers ----------------------------------------------------------
 
 
-def _ball_masks(d: np.ndarray, subset: Sequence[int], eps: float) -> list[int]:
-    """For every center point, the bitmask of subset members it covers."""
-    masks = []
-    sub = np.asarray(subset, dtype=int)
-    for c in range(d.shape[0]):
-        inside = d[c, sub] < eps
-        mask = 0
-        for i in np.nonzero(inside)[0]:
-            mask |= 1 << int(i)
-        masks.append(mask)
-    return masks
-
-
 def _greedy_cover(universe: int, sets: list[int]) -> int:
     count = 0
     left = universe
@@ -270,7 +257,7 @@ def covering_number(
     if mode == "exact" and len(sub) > limit:
         raise ValueError(f"exact covering limited to |subset| <= {limit}, got {len(sub)}")
     universe = (1 << len(sub)) - 1
-    masks = _ball_masks(m.dist, sub, eps)
+    masks = _row_masks(m.dist[:, np.asarray(sub, dtype=int)] < eps)
     if mode == "exact":
         return _min_cover(universe, masks)
     if mode != "greedy":
@@ -305,13 +292,9 @@ def packing_number(
         from .graph import Graph
         from .partition import clique_number
 
-        rows = [0] * k
-        for i in range(k):
-            for j in range(i + 1, k):
-                if d[sub[i], sub[j]] >= eps:
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        return clique_number(Graph(k, tuple(rows)), mode="exact")
+        idx = np.asarray(sub, dtype=int)
+        far = np.triu(d[np.ix_(idx, idx)] >= eps, 1)
+        return clique_number(Graph(k, _row_masks(far | far.T)), mode="exact")
     if mode != "greedy":
         raise ValueError("mode must be 'exact' or 'greedy'")
     chosen = [sub[0]]
@@ -336,6 +319,17 @@ def doubling_dimension(
     Radii are scanned over all pairwise distances and tiny upward
     perturbations of each; ball contents only change at those thresholds.
     Returns ceil(log2) of the worst cover size.
+
+    The masks of ``d < t`` depend on t only through its threshold class,
+    the number of entries of d below t. Radii ascend, so each class of r
+    and of r/2 comes up in one unbroken run: ball and half-ball masks are
+    built once per class, and each distinct ball is covered once per
+    half-radius class. Each cache is dropped when its class ends, so the
+    covers held are those of one half-radius class: at most the n balls it
+    starts with plus one per ball that changes within it. Mask bits are
+    point indices, a monotone relabeling of positions within the ball, so
+    ``_min_cover`` branches and ``_greedy_cover`` breaks ties exactly as on
+    subset-relative masks.
     """
     limit = DEFAULT_LIMITS.exact_doubling if limit is None else limit
     if m.n == 0:
@@ -350,15 +344,22 @@ def doubling_dimension(
     for r in positive:
         radii.append(r)
         radii.append(r * (1 + 1e-9))
+    solve = _min_cover if mode == "exact" else _greedy_cover
+    values = np.sort(d, axis=None)  # np.unique would import numpy.ma: +1.1 MB resident
+    ball_class = half_class = -1
     worst = 1
     for r in radii:
         half = r / 2
-        for x in range(m.n):
-            ball = [i for i in range(m.n) if d[x, i] < r]
-            if len(ball) <= worst:
+        if (c := int(np.searchsorted(values, half))) != half_class:
+            half_class, centers, covers = c, _row_masks(d < half), {}
+        if (c := int(np.searchsorted(values, r))) != ball_class:
+            ball_class, balls = c, _row_masks(d < r)
+        for ball in balls:
+            if ball.bit_count() <= worst:
                 continue
-            cover = covering_number(m, ball, half, mode=mode, limit=max(limit, m.n))
-            worst = max(worst, cover)
+            if ball not in covers:
+                covers[ball] = solve(ball, centers)
+            worst = max(worst, covers[ball])
     return (worst - 1).bit_length()
 
 

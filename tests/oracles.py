@@ -7,6 +7,7 @@ None of it shares code paths with the library's search routines.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -120,6 +121,70 @@ def doubling_dimension_brute(dist: np.ndarray) -> int:
             ball = [i for i in range(n) if dist[x, i] < r]
             worst = max(worst, covering_number_brute(dist, ball, r / 2))
     return (worst - 1).bit_length()
+
+
+def _greedy_cover_seed(universe: int, sets: list[int]) -> int:
+    count = 0
+    left = universe
+    while left:
+        best, best_gain = -1, 0
+        for i, s in enumerate(sets):
+            gain = (s & left).bit_count()
+            if gain > best_gain:
+                best, best_gain = i, gain
+        if best_gain == 0:
+            raise ValueError("subset cannot be covered at this radius")
+        left &= ~sets[best]
+        count += 1
+    return count
+
+
+def covering_number_greedy_seed(dist: np.ndarray, subset, eps: float) -> int:
+    """Greedy ``covering_number`` as first written: one bit per subset position,
+    set point by point for every center, then max-coverage with ties to the
+    lowest center. (Exact covers have one value, which ``covering_number_brute``
+    pins.)"""
+    sub = list(subset)
+    if not sub:
+        return 0
+    masks = []
+    idx = np.asarray(sub, dtype=int)
+    for c in range(dist.shape[0]):
+        inside = dist[c, idx] < eps
+        mask = 0
+        for i in np.nonzero(inside)[0]:
+            mask |= 1 << int(i)
+        masks.append(mask)
+    return _greedy_cover_seed((1 << len(sub)) - 1, masks)
+
+
+def doubling_dimension_greedy_seed(dist: np.ndarray) -> int:
+    """Greedy ``doubling_dimension`` as first written: every (radius, center)
+    pair builds its ball and covers it from scratch."""
+    n = dist.shape[0]
+    positive = sorted({float(x) for x in dist[np.triu_indices(n, k=1)] if x > 0})
+    radii: list[float] = []
+    for r in positive:
+        radii.append(r)
+        radii.append(r * (1 + 1e-9))
+    worst = 1
+    for r in radii:
+        half = r / 2
+        for x in range(n):
+            ball = [i for i in range(n) if dist[x, i] < r]
+            if len(ball) <= worst:
+                continue
+            worst = max(worst, covering_number_greedy_seed(dist, ball, half))
+    return (worst - 1).bit_length()
+
+
+def digest_oracle(g: Graph) -> str:
+    """``Graph.digest`` as first written: one hash update per edge."""
+    h = hashlib.sha256()
+    h.update(f"n={g.n};".encode())
+    for u, v in g.edges():
+        h.update(f"{u},{v};".encode())
+    return h.hexdigest()[:16]
 
 
 def distance_matrix_oracle(points: np.ndarray, norm: float) -> np.ndarray:

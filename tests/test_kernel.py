@@ -1,13 +1,13 @@
 """The matrix kernel of ``presdim.graph`` (``Graph.matrix``, the generators,
-``induced``, ``diameter`` and ``all_pairs_distances``) against the
-bit-by-bit oracles."""
+``induced``, ``diameter``, ``all_pairs_distances`` and ``digest``) against
+the bit-by-bit oracles."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from presdim.graph import (
@@ -24,6 +24,7 @@ from presdim.graph import (
 
 from oracles import (
     diameter_oracle,
+    digest_oracle,
     distances_oracle,
     gnp_oracle,
     graph_error_oracle,
@@ -131,6 +132,15 @@ def test_graph_rejects_bad_rows_with_the_scan_messages(g, flips):
         with pytest.raises(ValueError) as err:
             Graph(g.n, tuple(rows))
         assert str(err.value) == message
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(graphs(), unions()))
+@example(gen_gnp(0, 0.5, 0))
+@example(gen_gnp(1, 0.5, 0))
+@example(gen_gnp(300, 0.3, 5))
+def test_digest_equals_the_per_edge_hash(g):
+    assert g.digest() == digest_oracle(g)
 
 
 def test_matrix_is_read_only():

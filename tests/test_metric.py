@@ -1,11 +1,14 @@
 import math
+import sys
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from presdim import metric
 from presdim.graph import gen_gnp, gen_named
 from presdim.construct import shortest_path_metric
 from presdim.metric import (
@@ -24,8 +27,10 @@ from presdim.metric import (
 
 from oracles import (
     covering_number_brute,
+    covering_number_greedy_seed,
     distance_matrix_oracle,
     doubling_dimension_brute,
+    doubling_dimension_greedy_seed,
     packing_number_brute,
 )
 
@@ -163,6 +168,91 @@ def test_doubling_greedy_upper_bounds_exact():
     for _ in range(8):
         m = induced_metric(_random_points(rng, 9))
         assert doubling_dimension(m, mode="greedy") >= doubling_dimension(m)
+
+
+@st.composite
+def tied_metrics(draw):
+    """Distance matrices with many ties on at most 8 points: the integer
+    shortest-path metric of a small G(n, p), or a pseudo-metric pulled back
+    from one along a map with repeats (off-diagonal zeros)."""
+    n = draw(st.integers(1, 8))
+    p = draw(st.sampled_from((0.2, 0.4, 0.6, 0.9)))
+    d = shortest_path_metric(gen_gnp(n, p, draw(st.integers(0, 2**32 - 1)))).target.dist
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+        d = d[np.ix_(labels, labels)]
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_metrics())
+def test_doubling_on_tied_metrics_matches_oracles(d):
+    m = FiniteMetric(d, pseudo=True)
+    assert doubling_dimension(m) == doubling_dimension_brute(d)
+    assert doubling_dimension(m, mode="greedy") == doubling_dimension_greedy_seed(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_metrics(), st.data())
+def test_covering_and_packing_on_tied_metrics_with_unsorted_repeats(d, data):
+    m = FiniteMetric(d, pseudo=True)
+    sub = data.draw(st.lists(st.integers(0, len(d) - 1), max_size=10))
+    eps = data.draw(st.sampled_from((0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0)))
+    assert covering_number(m, sub, eps) == covering_number_brute(d, sub, eps)
+    assert covering_number(m, sub, eps, mode="greedy") == covering_number_greedy_seed(d, sub, eps)
+    assert packing_number(m, sub, eps) == packing_number_brute(d, sub, eps)
+
+
+def _scan_work(monkeypatch, m, mode):
+    """Run ``doubling_dimension`` with counters on the mask builder and the
+    cover routine; returns the built masks and the covers solved, each as a
+    hashable key, and the largest cover cache seen."""
+    built, solved, cached = [], [], [0]
+    row_masks = metric._row_masks
+    name = "_min_cover" if mode == "exact" else "_greedy_cover"
+    solve = getattr(metric, name)
+
+    def counting_row_masks(a):
+        built.append(hash(a.tobytes()))
+        return row_masks(a)
+
+    def counting_solve(universe, sets):
+        solved.append((universe, hash(tuple(sets))))
+        # the scan's cover cache, read from the calling frame
+        cached[0] = max(cached[0], len(sys._getframe(1).f_locals["covers"]))
+        return solve(universe, sets)
+
+    monkeypatch.setattr(metric, "_row_masks", counting_row_masks)
+    monkeypatch.setattr(metric, name, counting_solve)
+    doubling_dimension(m, mode=mode, limit=m.n)
+    return built, solved, cached[0]
+
+
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+@pytest.mark.parametrize(
+    "m",
+    [_uniform(12), induced_metric(PointSet(np.random.default_rng(20).standard_normal((20, 3))))],
+    ids=["uniform12", "gauss20"],
+)
+def test_doubling_builds_each_class_once_and_covers_each_ball_once(monkeypatch, m, mode):
+    d = m.dist
+    positive = sorted({float(x) for x in d[np.triu_indices(m.n, k=1)] if x > 0})
+    radii = [t for r in positive for t in (r, r * (1 + 1e-9))]
+    balls = {hash((d < r).tobytes()) for r in radii}
+    halves = {hash((d < r / 2).tobytes()) for r in radii}
+    built, solved, cached = _scan_work(monkeypatch, m, mode)
+    assert solved
+    for key, count in Counter(built).items():
+        assert count <= (key in balls) + (key in halves)
+    assert len(set(solved)) == len(solved)
+    assert cached <= 2 * m.n
+
+
+def test_greedy_doubling_caches_o_n_covers(monkeypatch):
+    m = induced_metric(PointSet(np.random.default_rng(60).standard_normal((60, 3))))
+    built, solved, cached = _scan_work(monkeypatch, m, "greedy")
+    assert len(set(solved)) == len(solved)
+    assert 0 < cached <= 2 * m.n
 
 
 def test_covering_growth_against_estimate():
