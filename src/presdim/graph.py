@@ -206,20 +206,28 @@ class GraphStats:
 # -- construction ---------------------------------------------------------
 
 
-def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a simple graph; duplicate and reversed pairs collapse to one edge.
+def from_edge_list(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Graph:
+    """Build a simple graph from (u, v) pairs or a (k, 2) integer array;
+    duplicate and reversed pairs collapse to one edge.
 
-    Raises ``ValueError`` on out-of-range endpoints or self-loops.
+    Raises ``ValueError`` on anything but integer pairs, on out-of-range
+    endpoints and on self-loops, naming the first offending edge.
     """
-    rows = [0] * n
-    for u, v in edges:
+    e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if e.size == 0:
+        e = np.zeros((0, 2), dtype=np.int64)
+    elif e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu":
+        raise ValueError("edges must be pairs of integer vertices")
+    bad = ((e < 0) | (e >= n)).any(axis=1) | (e[:, 0] == e[:, 1])
+    if bad.any():
+        u, v = e[np.argmax(bad)].tolist()
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+        raise ValueError(f"self-loop at vertex {u}")
+    a = np.zeros((max(n, 0), max(n, 0)), dtype=bool)
+    a[e[:, 0], e[:, 1]] = True
+    a[e[:, 1], e[:, 0]] = True
+    return Graph(n, _pack_rows(a))
 
 
 def _sample_pairs(n: int, seed: int, prob: Callable[[int, int], float | np.ndarray]) -> tuple[int, ...]:
@@ -577,8 +585,9 @@ def graph_stats(g: Graph) -> GraphStats:
 
 
 # -- edge-list text format --------------------------------------------------
-# First line "n m", then one "u v" pair per line (0-indexed). Lines starting
-# with '#' are comments. Planted-partition labels serialize as an optional
+# First line "n m", then one "u v" pair per line (0-indexed): exactly two
+# integer tokens. Lines starting with '#' are comments; a '#' elsewhere in a
+# line is an error. Planted-partition labels serialize as an optional
 # trailing "blocks: i_0 i_1 ... i_{n-1}" line.
 
 
@@ -593,25 +602,27 @@ def write_edge_list(g: Graph, path: str) -> None:
 
 def read_edge_list(path: str) -> Graph:
     with open(path) as fh:
-        raw = [ln.strip() for ln in fh]
-    lines = [ln for ln in raw if ln and not ln.startswith("#")]
+        text = fh.read()
+    lines = [ln for ln in map(str.strip, text.split("\n")) if ln and ln[0] != "#"]
     if not lines:
         raise ValueError("empty edge-list file")
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError("first line must be 'n <edge count>'")
     n, m = int(head[0]), int(head[1])
-    edges: list[tuple[int, int]] = []
-    blocks: tuple[int, ...] | None = None
-    for ln in lines[1:]:
-        if ln.startswith("blocks:"):
-            blocks = tuple(int(tok) for tok in ln.split(":", 1)[1].split())
-            continue
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
+    body, labels = lines[1:], []
+    if "blocks:" in text:  # otherwise no line holds labels: skip both scans
+        labels = [tuple(map(int, ln[len("blocks:") :].split())) for ln in body if ln.startswith("blocks:")]
+        body = [ln for ln in body if not ln.startswith("blocks:")]
+    # comments=None: a '#' inside an edge line must fail to parse, not end it.
+    # Without edge lines the parser is skipped; it warns on empty input.
+    try:
+        edges = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None) if body else ()
+    except ValueError as exc:
+        raise ValueError(f"edge lines must hold exactly two integers ({exc})") from None
     g = from_edge_list(n, edges)
     if g.edge_count != m:
         raise ValueError(f"header declares {m} edges, file carries {g.edge_count}")
-    if blocks is not None:
-        g = Graph(g.n, g.rows, blocks=blocks)
+    if labels:
+        g = Graph(g.n, g.rows, blocks=labels[-1])
     return g

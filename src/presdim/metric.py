@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import DEFAULT_LIMITS
-from .graph import _pack_rows as _row_masks, bits
+from .graph import _block_rows, _pack_rows as _row_masks, bits
 
 __all__ = [
     "FiniteMetric",
@@ -34,10 +34,6 @@ __all__ = [
 ]
 
 METRIC_TOL = 1e-12
-
-# Entries of one row block of the difference tensor in
-# ``PointSet.distance_matrix``: 2^20 float64 values, 8 MiB.
-_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,30 +81,36 @@ class PointSet:
         return self.points.shape[1]
 
     def distance_matrix(self) -> np.ndarray:
-        """Pairwise l_p distances, symmetrised, with a zero diagonal.
+        """Pairwise l_p distances, symmetric, with a zero diagonal.
 
-        Rows are filled in blocks whose (rows, n, d) difference tensor holds
-        about ``_BLOCK_ENTRIES`` entries, so peak memory is O(n^2) plus a few
-        blocks rather than O(n^2 d). Every entry still reduces the same
-        contiguous length-d difference row, so the matrix is bit-identical
-        to the unblocked broadcast, which ``check`` relies on when it
-        decides ``m > alpha*M``.
+        Only the upper triangle is computed: rows lo:hi against columns lo:,
+        in blocks whose (rows, n - lo, d) difference tensor holds about
+        ``graph._BLOCK_ENTRIES`` (2^14, 128 KiB) entries, and each block is
+        mirrored into the lower triangle. Every entry reduces the same
+        contiguous length-d difference row as the unblocked broadcast, and
+        d_ij equals d_ji exactly, so the matrix is bit-identical to the
+        broadcast symmetrised by ``0.5 * (d + d.T)`` wherever that sum stays
+        finite; ``check`` relies on this when it decides ``m > alpha*M``.
+        Peak memory is O(n^2) plus one block rather than O(n^2 d).
         """
         pts = self.points
         n, dim = pts.shape
         if n == 0 or dim == 0:
             return np.zeros((n, n))
         d = np.empty((n, n))
-        step = max(1, _BLOCK_ENTRIES // (n * dim))
-        for lo in range(0, n, step):
-            diff = pts[lo : lo + step, None, :] - pts[None, :, :]
+        lo = 0
+        while lo < n:
+            hi = min(n, lo + _block_rows((n - lo) * dim))
+            diff = pts[lo:hi, None, :] - pts[None, lo:, :]
             if self.norm == math.inf:
-                d[lo : lo + step] = np.abs(diff).max(axis=2)
+                block = np.abs(diff, out=diff).max(axis=2)
             elif self.norm == 1.0:
-                d[lo : lo + step] = np.abs(diff).sum(axis=2)
+                block = np.abs(diff, out=diff).sum(axis=2)
             else:
-                d[lo : lo + step] = np.sqrt((diff * diff).sum(axis=2))
-        d = 0.5 * (d + d.T)
+                block = np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2))
+            d[lo:hi, lo:] = block
+            d[lo:, lo:hi] = block.T
+            lo = hi
         np.fill_diagonal(d, 0.0)
         return d
 

@@ -135,6 +135,14 @@ def _sign(x: float, a: float, b: float) -> int:
     return (diff > 0) - (diff < 0)
 
 
+def _midpoint(a: float, b: float) -> float:
+    """(a + b) / 2, or a/2 + b/2 where a + b overflows although the midpoint
+    is finite: ``_witness`` would otherwise start from the largest float and
+    walk down to the midpoint one ulp at a time."""
+    mid = (a + b) / 2
+    return mid if mid != math.inf else a / 2 + b / 2
+
+
 def _witness(big: float, small: float, alpha: float, r: float) -> float | None:
     """The float nearest ``r`` by whole ulps with big < r and alpha*r <= small
     exactly, or None when no float lies in (big, small/alpha]."""
@@ -170,7 +178,7 @@ def check(g: Graph, emb: Any, alpha: float) -> PreservationCertificate:
         larger = dists[dists > big]
         if larger.size:
             caps.append(float(larger.min()))
-        r = _witness(big, small, alpha, (big + min(caps)) / 2 if caps else big + 1.0)
+        r = _witness(big, small, alpha, _midpoint(big, min(caps)) if caps else big + 1.0)
     passed = r is not None
     return PreservationCertificate(
         graph_digest=g.digest(),

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
 from presdim.graph import Graph, rng_for
+from presdim.metric import PointSet
 
 
 def set_partitions(items: list[int]):
@@ -206,6 +208,27 @@ def distance_matrix_oracle(points: np.ndarray, norm: float) -> np.ndarray:
     return d
 
 
+def result_to_json_oracle(res) -> str:
+    """``construct.result_to_json`` as first written: the whole document
+    through ``json.dumps(doc, indent=2)``."""
+    doc: dict = {
+        "source": res.source,
+        "alpha_interval": list(res.claimed_alpha),
+        "r": res.claimed_r,
+        "dim_bound": res.claimed_dim_bound,
+        "vertex_map": list(res.vertex_map),
+    }
+    if isinstance(res.target, PointSet):
+        doc["dim"] = res.target.dim
+        doc["norm"] = "inf" if res.target.norm == math.inf else int(res.target.norm)
+        doc["points"] = res.target.points.tolist()
+    else:
+        doc["dim"] = res.target.n
+        doc["pseudo"] = res.target.pseudo
+        doc["distance_matrix"] = res.target.dist.tolist()
+    return json.dumps(doc, indent=2)
+
+
 def diameter_oracle(g: Graph) -> float:
     """Diameter through scipy's shortest-path solver."""
     if g.n == 1:
@@ -279,6 +302,20 @@ def planted_oracle(sizes, p: float, q: float, seed: int) -> tuple[int, ...]:
                     rows[u] |= 1 << v
                     rows[v] |= 1 << u
                 idx += 1
+    return tuple(rows)
+
+
+def from_edge_list_oracle(n: int, edges) -> tuple[int, ...]:
+    """Rows of ``from_edge_list`` as first written: one bit per endpoint, edge
+    by edge, raising at the first out-of-range endpoint or self-loop."""
+    rows = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
     return tuple(rows)
 
 

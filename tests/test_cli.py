@@ -171,3 +171,38 @@ def test_doubling_rejects_malformed_input(tmp_path, flag, text):
     path = tmp_path / "input.txt"
     path.write_text(text)
     assert main(["doubling", flag, str(path)]) == 2
+
+
+MALFORMED_EDGE_LISTS = {
+    "one token": "3 1\n0\n",
+    "three tokens": "3 1\n0 1 2\n",
+    "three tokens after a good line": "3 2\n0 1\n1 2 0\n",
+    "non-integer token": "3 1\n0 1.5\n",
+    "trailing comment": "3 1\n0 1 # note\n",
+    "out of range": "3 1\n0 3\n",
+    "negative endpoint": "3 1\n-1 2\n",
+    "self-loop": "3 1\n1 1\n",
+    "count after duplicates collapse": "3 2\n0 1\n1 0\n",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(MALFORMED_EDGE_LISTS))
+def test_malformed_edge_lists_are_rejected(tmp_path, name):
+    path = tmp_path / "g.el"
+    path.write_text(MALFORMED_EDGE_LISTS[name])
+    with pytest.raises(ValueError):
+        read_edge_list(str(path))
+    assert main(["analyze", str(path), "--alpha", "1.0"]) == 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_edge_list_comments_blanks_and_no_edges(tmp_path):
+    path = tmp_path / "g.el"
+    path.write_text("# a comment\n\n4 0\n  # indented comment\n")
+    g = read_edge_list(str(path))
+    assert (g.n, g.edge_count) == (4, 0)
+    path.write_text("4 2\n# note\n\t0 1 \n\n3 2\nblocks: 0 0 1 1\n")
+    g = read_edge_list(str(path))
+    assert sorted(g.edges()) == [(0, 1), (2, 3)] and g.blocks == (0, 0, 1, 1)
+    assert main(["analyze", str(path), "--alpha", "1.0"]) == 0

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presdim.construct import (
+    BY_CLI,
     EmbeddingResult,
     JLProjectionError,
     ball_collapse_l2,
@@ -30,10 +33,11 @@ from presdim.graph import (
     quotient_by_neighborhood,
     spectrum_top2,
 )
-from presdim.metric import PointSet, validate_metric
+from presdim.config import DEFAULT_LIMITS
+from presdim.metric import FiniteMetric, PointSet, validate_metric
 from presdim.preserve import alpha_max, check
 
-from oracles import random_graph
+from oracles import random_graph, result_to_json_oracle
 
 
 def _passes_claims(g, emb: EmbeddingResult) -> bool:
@@ -409,6 +413,67 @@ def test_result_json_round_trip():
         assert back.vertex_map == emb.vertex_map
         assert back.claimed_alpha == emb.claimed_alpha
         assert np.array_equal(back.vertex_distances(), emb.vertex_distances())
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.0, -3.0, 1e300, -1e300, 0.1, 1 / 3, 1e16, 123456789.0]
+
+
+def _result(target) -> EmbeddingResult:
+    return EmbeddingResult(
+        target=target,
+        vertex_map=tuple(range(min(target.n, 3))),
+        claimed_alpha=(0.5, 2.0),
+        claimed_r=1.0,
+        claimed_dim_bound=4,
+        source="test",
+    )
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        PointSet(np.zeros((0, 3))),
+        PointSet(np.zeros((0, 0))),
+        PointSet(np.zeros((4, 0)), norm=1.0),
+        PointSet(np.array([EDGE_VALUES]), norm=math.inf),
+        PointSet(np.array(EDGE_VALUES).reshape(6, 2), norm=2.0),
+        PointSet(np.array([[2.0]])),
+        FiniteMetric(np.zeros((0, 0))),
+        FiniteMetric(np.zeros((1, 1)), pseudo=True),
+        FiniteMetric(np.array([[0.0, 5e-324, 1e300], [5e-324, -0.0, 2.0], [1e300, 2.0, 0.0]])),
+    ],
+)
+def test_result_to_json_matches_the_indent_writer(target):
+    res = _result(target)
+    assert result_to_json(res) == result_to_json_oracle(res)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(0, 6),
+    cols=st.integers(0, 6),
+    metric=st.booleans(),
+    data=st.data(),
+)
+def test_result_to_json_matches_the_indent_writer_on_any_floats(rows, cols, metric, data):
+    cols = rows if metric else cols
+    values = st.one_of(st.floats(allow_nan=False), st.sampled_from(EDGE_VALUES))
+    flat = data.draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
+    arr = np.array(flat, dtype=np.float64).reshape(rows, cols)
+    if metric:
+        target = FiniteMetric(arr)
+    else:
+        target = PointSet(arr, norm=data.draw(st.sampled_from([1.0, 2.0, math.inf])))
+    res = _result(target)
+    assert result_to_json(res) == result_to_json_oracle(res)
+
+
+@pytest.mark.parametrize("tag", sorted(BY_CLI))
+def test_embedding_files_match_the_indent_writer(tag):
+    g = gen_gnp(40, 0.3, 5)
+    alpha = 0.8 if tag in ("collapse", "simplex-jl") else 1.0
+    res = BY_CLI[tag].build(g, alpha, 3, DEFAULT_LIMITS)
+    assert result_to_json(res) == result_to_json_oracle(res)
 
 
 def test_all_constructions_pass_their_claims():

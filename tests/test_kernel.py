@@ -26,6 +26,7 @@ from oracles import (
     diameter_oracle,
     digest_oracle,
     distances_oracle,
+    from_edge_list_oracle,
     gnp_oracle,
     graph_error_oracle,
     induced_oracle,
@@ -132,6 +133,23 @@ def test_graph_rejects_bad_rows_with_the_scan_messages(g, flips):
         with pytest.raises(ValueError) as err:
             Graph(g.n, tuple(rows))
         assert str(err.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12), st.data())
+def test_from_edge_list_matches_the_edge_loop(n, data):
+    """Rows, and the message of the first bad edge, equal the per-edge loop's,
+    for pair lists and for the (k, 2) arrays ``read_edge_list`` passes."""
+    edges = data.draw(st.lists(st.tuples(st.integers(-2, n + 1), st.integers(-2, n + 1)), max_size=20))
+    for given_edges in (edges, np.array(edges, dtype=np.int64).reshape(-1, 2)):
+        try:
+            want = from_edge_list_oracle(n, edges)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                from_edge_list(n, given_edges)
+            assert str(err.value) == str(exc)
+        else:
+            assert from_edge_list(n, given_edges).rows == want
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,15 +2,17 @@ import math
 import sys
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from presdim import metric
-from presdim.graph import gen_gnp, gen_named
+from presdim import graph, metric
+from presdim.graph import from_edge_list, gen_gnp, gen_named
 from presdim.construct import shortest_path_metric
+from presdim.preserve import check
 from presdim.metric import (
     FiniteMetric,
     PointSet,
@@ -68,7 +70,8 @@ def test_induced_metric_examples():
 @example(n=0, dim=3, norm=math.inf, seed=0, span=0)
 @example(n=1, dim=5, norm=2.0, seed=0, span=10)
 @example(n=7, dim=0, norm=1.0, seed=0, span=0)
-# 130 * 130 * 100 entries exceed one row block: blocks of 80 rows, then 50
+# a row of 130 * 100 entries fills most of a block: one-row blocks, then
+# taller ones as the upper triangle narrows, the last cut short by n
 @example(n=130, dim=100, norm=1.0, seed=1, span=40)
 @example(n=130, dim=100, norm=2.0, seed=2, span=40)
 @example(n=130, dim=100, norm=math.inf, seed=3, span=40)
@@ -78,6 +81,45 @@ def test_distance_matrix_matches_unblocked_oracle(n, dim, norm, seed, span):
     pts = rng.standard_normal((n, dim)) * scale
     got = PointSet(pts, norm=norm).distance_matrix()
     assert np.array_equal(got, distance_matrix_oracle(pts, norm))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    dim=st.integers(0, 12),
+    entries=st.integers(1, 200),
+    norm=st.sampled_from([1.0, 2.0, math.inf]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=0, dim=4, entries=1, norm=1.0, seed=0)
+@example(n=1, dim=3, entries=1, norm=2.0, seed=0)
+@example(n=2, dim=1, entries=1, norm=math.inf, seed=0)
+@example(n=9, dim=0, entries=5, norm=2.0, seed=0)
+# blocks of 150 entries: 2, 3, 4 and 6 rows as the columns shrink, then a last
+# block cut short at 6 of its 12 rows
+@example(n=37, dim=2, entries=150, norm=1.0, seed=1)
+def test_distance_matrix_blocks_match_unblocked_oracle(n, dim, entries, norm, seed):
+    """Upper-triangle blocks of any size, including one row and a last
+    partial block, give the unblocked broadcast bit for bit."""
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-20, 21, size=(n, dim))
+    with mock.patch.object(graph, "_BLOCK_ENTRIES", entries):
+        got = PointSet(pts, norm=norm).distance_matrix()
+    assert np.array_equal(got, distance_matrix_oracle(pts, norm))
+
+
+@pytest.mark.parametrize("norm", [1.0, math.inf])
+def test_large_finite_distances_do_not_overflow(norm):
+    """d(0, 1) = 1e308 is finite; symmetrising by 0.5 * (d + d.T) overflowed it
+    to inf and gave alpha_max 0. The l2 kernel still overflows in diff * diff
+    above about 1e154, which is its own expression, so l2 is not covered."""
+    g = from_edge_list(3, [(0, 1)])
+    pts = PointSet(np.array([[0.0], [1e308], [5e307]]), norm=norm)
+    d = pts.distance_matrix()
+    assert d[0, 1] == d[1, 0] == 1e308
+    cert = check(g, pts, 0.4)
+    assert cert.passed and cert.max_neighbor == 1e308 and cert.alpha_max == 0.5
+    assert not check(g, pts, 0.6).passed
 
 
 def test_distance_matrix_memory_is_bounded():
