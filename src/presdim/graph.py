@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -610,14 +611,22 @@ def read_edge_list(path: str) -> Graph:
     if len(head) != 2:
         raise ValueError("first line must be 'n <edge count>'")
     n, m = int(head[0]), int(head[1])
-    body, labels = lines[1:], []
-    if "blocks:" in text:  # otherwise no line holds labels: skip both scans
-        labels = [tuple(map(int, ln[len("blocks:") :].split())) for ln in body if ln.startswith("blocks:")]
-        body = [ln for ln in body if not ln.startswith("blocks:")]
+    body: list[str] = []
+    labels: list[tuple[int, ...]] = []
+    for ln in lines[1:]:
+        if ln.startswith("blocks:"):
+            labels.append(tuple(map(int, ln[len("blocks:") :].split())))
+        else:
+            body.append(ln)
     # comments=None: a '#' inside an edge line must fail to parse, not end it.
+    # numpy releases still in their deprecation period parse a token such as
+    # "1.5" or "2.0" via a float, truncate it and only issue a
+    # DeprecationWarning; the filter turns that into their ValueError.
     # Without edge lines the parser is skipped; it warns on empty input.
     try:
-        edges = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None) if body else ()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            edges = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None) if body else ()
     except ValueError as exc:
         raise ValueError(f"edge lines must hold exactly two integers ({exc})") from None
     g = from_edge_list(n, edges)

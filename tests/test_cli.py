@@ -1,6 +1,8 @@
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from presdim.cli import main
@@ -178,6 +180,8 @@ MALFORMED_EDGE_LISTS = {
     "three tokens": "3 1\n0 1 2\n",
     "three tokens after a good line": "3 2\n0 1\n1 2 0\n",
     "non-integer token": "3 1\n0 1.5\n",
+    "integral float token": "3 1\n0 2.0\n",
+    "exponent token": "3 1\n0 1e0\n",
     "trailing comment": "3 1\n0 1 # note\n",
     "out of range": "3 1\n0 3\n",
     "negative endpoint": "3 1\n-1 2\n",
@@ -194,6 +198,38 @@ def test_malformed_edge_lists_are_rejected(tmp_path, name):
     with pytest.raises(ValueError):
         read_edge_list(str(path))
     assert main(["analyze", str(path), "--alpha", "1.0"]) == 2
+
+
+def _loadtxt_with_float_fallback(real):
+    # numpy 1.23 up to the end of its deprecation period parsed an integer
+    # token such as "2.0" via a float, truncated it and only issued a
+    # DeprecationWarning; when that warning is an error, loadtxt raises
+    # ValueError. This stand-in reproduces that on any numpy.
+    def loadtxt(lines, dtype=float, **kwargs):
+        try:
+            return real(lines, dtype=dtype, **kwargs)
+        except ValueError:
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            except DeprecationWarning as exc:
+                raise ValueError("could not convert string to int64") from exc
+            return real(lines, dtype=float, **kwargs).astype(dtype)
+
+    return loadtxt
+
+
+@pytest.mark.parametrize("lenient", [False, True], ids=["numpy", "float-fallback"])
+@pytest.mark.parametrize("body", ["0 1.5", "0 2.0", "0 1e0"])
+def test_float_tokens_are_rejected_with_deprecation_warnings_ignored(tmp_path, monkeypatch, body, lenient):
+    if lenient:
+        monkeypatch.setattr(np, "loadtxt", _loadtxt_with_float_fallback(np.loadtxt))
+    path = tmp_path / "g.el"
+    path.write_text(f"3 1\n{body}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        with pytest.raises(ValueError):
+            read_edge_list(str(path))
+        assert main(["analyze", str(path), "--alpha", "1.0"]) == 2
 
 
 @pytest.mark.filterwarnings("error")
