@@ -15,15 +15,13 @@ from typing import Sequence
 
 from . import bounds, construct, experiment, metric, preserve
 from .config import DEFAULT_LIMITS
-from .construct import require_seed
 from .graph import (
     GenerationError,
     NAMED_FAMILIES,
-    gen_gnp,
-    gen_kregular,
-    gen_named,
-    gen_planted_partition,
+    RANDOM_FAMILIES,
+    gen_family,
     read_edge_list,
+    require_seed,
     write_edge_list,
 )
 
@@ -31,18 +29,7 @@ __all__ = ["main"]
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    family = args.family
-    if family == "gnp":
-        g = gen_gnp(args.n, args.p, require_seed(args.seed))
-    elif family == "kregular":
-        g = gen_kregular(args.n, args.k, require_seed(args.seed))
-    elif family == "planted":
-        if args.k <= 0 or args.n % args.k:
-            raise ValueError("planted generation needs n divisible by --k blocks")
-        sizes = [args.n // args.k] * args.k
-        g = gen_planted_partition(sizes, args.p, args.q, require_seed(args.seed))
-    else:
-        g = gen_named(family, args.n)
+    g = gen_family(args.family, args.n, args.p, args.q, args.k, args.seed)
     write_edge_list(g, args.out)
     print(f"wrote {args.out}: n={g.n} edges={g.edge_count}")
     return 0
@@ -148,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("generate", help="write a graph edge list")
-    p.add_argument("--family", required=True, choices=NAMED_FAMILIES + ("gnp", "kregular", "planted"))
+    p.add_argument("--family", required=True, choices=NAMED_FAMILIES + RANDOM_FAMILIES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--q", type=float, default=0.0)

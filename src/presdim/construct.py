@@ -32,6 +32,7 @@ from .graph import (
     connected_components,
     quotient_by_neighborhood,
     quotient_with_map,
+    require_seed,
     rng_for,
     spectrum_top2,
 )
@@ -68,7 +69,6 @@ __all__ = [
     "CONSTRUCTIONS",
     "BY_TAG",
     "BY_CLI",
-    "require_seed",
 ]
 
 LOG2_3 = math.log2(3.0)
@@ -176,19 +176,24 @@ def _identity_map(n: int) -> tuple[int, ...]:
 # -- shortest-path metric -----------------------------------------------------
 
 
+def _component_spread(d: np.ndarray) -> float:
+    """2*(max eccentricity) + 1 of a hop-distance matrix (``inf`` across
+    components): the mutual distance at which components can sit while the
+    triangle inequality and the non-neighbor separation stay intact."""
+    finite = d[np.isfinite(d)]
+    return 2.0 * (float(finite.max()) if finite.size else 0.0) + 1.0
+
+
 def shortest_path_metric(g: Graph) -> EmbeddingResult:
     """Hop-distance metric: neighbors at 1, non-neighbors at >= 2.
 
     Disconnected inputs place components at mutual distance
-    2*(max eccentricity) + 1, which keeps the triangle inequality and the
-    non-neighbor separation intact.
+    ``_component_spread``.
     """
     if g.n < 1:
         raise ValueError("need at least one vertex")
     d = all_pairs_distances(g)
-    finite = d[np.isfinite(d)]
-    max_ecc = float(finite.max()) if finite.size else 0.0
-    d = np.where(np.isfinite(d), d, 2.0 * max_ecc + 1.0)
+    d = np.where(np.isfinite(d), d, _component_spread(d))
     return EmbeddingResult(
         target=FiniteMetric(d),
         vertex_map=_identity_map(g.n),
@@ -220,22 +225,20 @@ def grid_packing_linf(n: int, r: float, eps: float) -> PointSet:
     d = grid_dim(n, s)
     # Axis values: cumulative sums of eps, nudged up until each float gap
     # is >= eps (consecutive-term subtraction is exact by Sterbenz). Digits
-    # never exceed min(s, n), so only that prefix is materialized.
+    # never exceed min(s, n), so only that prefix is materialized; base
+    # min(s, n) gives the same digits (s > n only with d = 1) and keeps its
+    # powers below n.
+    base = min(s, n)
     axis = [0.0]
-    for _ in range(min(s, n) - 1):
+    for _ in range(base - 1):
         w = axis[-1] + eps
         while w - axis[-1] < eps:
             w = math.nextafter(w, math.inf)
         axis.append(w)
     if not axis[-1] < r:
         raise ValueError("grid spacing exceeded the requested diameter")
-    pts = np.empty((n, d))
-    for i in range(n):
-        x = i
-        for axis_idx in range(d - 1, -1, -1):
-            pts[i, axis_idx] = axis[x % s]
-            x //= s
-    return PointSet(pts, norm=math.inf)
+    digits = np.arange(n)[:, None] // base ** np.arange(d - 1, -1, -1) % base
+    return PointSet(np.array(axis)[digits], norm=math.inf)
 
 
 def clique_collapse_linf(
@@ -383,41 +386,23 @@ def pseudo_metric_embedding(
     eps = _largest_margin(a)
     part = gated_clique_cover(g, limit)
 
-    # Per block: group members by closed neighborhood (full-graph), pack the
-    # classes on a grid, and register one identified point per class.
-    point_part: list[int] = []
-    point_coords: list[np.ndarray] = []
+    # One point per neighborhood class (full-graph) of each block, block by
+    # block. Adjacency between classes does not depend on the representative.
+    classes = [neighborhood_partition(g, block).blocks for block in part.blocks]
+    points = [members for block in classes for members in block]
+    reps = [members[0] for members in points]
+    dist = np.where(g.matrix[np.ix_(reps, reps)], 1.0 - eps, a)
     vmap = [-1] * g.n
-    biggest_class_count = 1
-    for bi, block in enumerate(part.blocks):
-        ordered = neighborhood_partition(g, block).blocks
-        k = len(ordered)
-        biggest_class_count = max(biggest_class_count, k)
-        grid = (
-            grid_packing_linf(k, 1.0 - eps, a - 1.0 + eps)
-            if k > 1
-            else PointSet(np.zeros((1, 1)), norm=math.inf)
-        )
-        for ci, members in enumerate(ordered):
-            pid = len(point_part)
-            point_part.append(bi)
-            point_coords.append(grid.points[ci])
-            for v in members:
-                vmap[v] = pid
-
-    n_pts = len(point_part)
-    reps = [-1] * n_pts
-    for v in range(g.n):
-        if reps[vmap[v]] == -1:
-            reps[vmap[v]] = v
-    dist = np.zeros((n_pts, n_pts))
-    for i in range(n_pts):
-        for j in range(i + 1, n_pts):
-            if point_part[i] == point_part[j]:
-                dij = float(np.max(np.abs(point_coords[i] - point_coords[j])))
-            else:
-                dij = 1.0 - eps if g.has_edge(reps[i], reps[j]) else a
-            dist[i, j] = dist[j, i] = dij
+    for pid, members in enumerate(points):
+        for v in members:
+            vmap[v] = pid
+    # Each block's classes are packed on a grid; 0 < a-1+eps < 1-eps because
+    # the margin keeps ceil((1-eps)/(a-1+eps)) = ceil(1/(a-1)) >= 2.
+    lo = 0
+    for block in classes:
+        hi = lo + len(block)
+        dist[lo:hi, lo:hi] = grid_packing_linf(len(block), 1.0 - eps, a - 1.0 + eps).distance_matrix()
+        lo = hi
 
     target = FiniteMetric(dist)
     violation = validate_metric(target)
@@ -430,7 +415,7 @@ def pseudo_metric_embedding(
         vertex_map=tuple(vmap),
         claimed_alpha=(0.0, alpha),
         claimed_r=1.0,
-        claimed_dim_bound=pseudo_metric_dim(part.size, biggest_class_count, a),
+        claimed_dim_bound=pseudo_metric_dim(part.size, max(map(len, classes), default=1), a),
         source=f"{label}[{part.mode}]",
     )
 
@@ -467,25 +452,15 @@ def frechet_quotient_embedding(g: Graph) -> EmbeddingResult:
     """
     h, vmap = quotient_with_map(g)
     d = all_pairs_distances(h)
-    finite = d[np.isfinite(d)]
     if np.isfinite(d).all():
         coords = d[:, 1:] if h.n > 1 else np.zeros((1, 1))
     else:
-        comps = connected_components(h)
-        max_ecc = float(finite.max()) if finite.size else 0.0
-        spread = 2.0 * max_ecc + 1.0
-        cols = sum(max(len(c) - 1, 0) for c in comps) + len(comps)
-        coords = np.zeros((h.n, cols))
-        col = 0
-        for comp in comps:
-            for landmark in comp[1:]:
-                for v in comp:
-                    coords[v, col] = d[v, landmark]
-                col += 1
-        for comp in comps:
-            for v in comp:
-                coords[v, col] = spread
-            col += 1
+        comps, spread = connected_components(h), _component_spread(d)
+        indicator = np.zeros((h.n, len(comps)))
+        for i, comp in enumerate(comps):
+            indicator[comp, i] = spread
+        d[np.isinf(d)] = 0.0
+        coords = np.hstack([d[:, [v for comp in comps for v in comp[1:]]], indicator])
     return EmbeddingResult(
         target=PointSet(coords, norm=math.inf),
         vertex_map=tuple(vmap),
@@ -609,19 +584,16 @@ def jl_project(
         )
     if d_target >= p.dim:
         padded = np.hstack([p.points, np.zeros((p.n, d_target - p.dim))])
-        r = base_cert.r if base_cert.r is not None else 1.0
-        return replace(as_result(padded, "jl_isometric"), claimed_r=r)
+        return replace(as_result(padded, "jl_isometric"), claimed_r=base_cert.r)
     best = 0.0
     for attempt in range(retries):
         rng = rng_for(seed, attempt)
         proj = rng.standard_normal((p.dim, d_target)) / math.sqrt(d_target)
         candidate = as_result(p.points @ proj, f"jl_gaussian[attempt={attempt}]")
         cert = check(g, candidate, alpha_target)
-        best = max(best, cert.alpha_max if cert.alpha_max != math.inf else best)
         if cert.passed:
-            return replace(candidate, claimed_r=cert.r if cert.r is not None else 1.0)
-        if cert.alpha_max == math.inf:
-            best = math.inf
+            return replace(candidate, claimed_r=cert.r)
+        best = max(best, cert.alpha_max)
     raise JLProjectionError(
         f"projection failed {retries} attempts at level {alpha_target}; "
         f"best achieved {best:.6f}",
@@ -751,12 +723,6 @@ def result_from_json(text: str) -> EmbeddingResult:
 # Builders take (g, alpha, seed, limits). A ceiling rule takes (facts, alpha),
 # facts being the level-free GraphFacts of the graph, and gives (value, note)
 # where its bound applies and (None, reason for the omission) elsewhere.
-
-
-def require_seed(seed: int | None) -> int:
-    if seed is None:
-        raise ValueError("this operation is randomized; pass --seed")
-    return seed
 
 
 @dataclass(frozen=True)

@@ -26,16 +26,7 @@ from .bounds import (
     upper_bounds_from_facts,
 )
 from .construct import graph_facts
-from .graph import (
-    Graph,
-    derive_seed,
-    diameter,
-    gen_gnp,
-    gen_kregular,
-    gen_named,
-    gen_planted_partition,
-    NAMED_FAMILIES,
-)
+from .graph import derive_seed, diameter, gen_family, gen_gnp, gen_planted_partition, planted_sizes
 from .partition import clique_number, independence_number, neighborhood_class_count
 
 __all__ = [
@@ -166,6 +157,8 @@ def mc_theorem2(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not 0 < alpha < 2:
+        raise ValueError("theorem 2 needs alpha in (0, 2)")
     formula = (math.log(n) - 2 * math.log(2)) / (2 * math.log(8.0 / alpha))
     rows = _run(_trial_theorem2, [(n, alpha, seed, t) for t in range(trials)], jobs)
     meets = sum(1 for value, _, _ in rows if value >= formula - 1e-12)
@@ -209,9 +202,7 @@ def mc_planted(
     per-trial diameter and clique-number aggregates."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    if n % k:
-        raise ValueError("n must split into k equal blocks")
-    sizes = tuple([n // k] * k)
+    sizes = tuple(planted_sizes(n, k))
     rows = _run(_trial_planted, [(sizes, p, q, seed, t) for t in range(trials)], jobs)
     frac_full = sum(1 for f, _, _ in rows if f) / trials
     frac_diam2 = sum(1 for _, d, _ in rows if d) / trials
@@ -265,20 +256,6 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _sample_graph(family: str, n: int, p: float, q: float, k: int, trial_seed: int) -> Graph:
-    if family == "gnp":
-        return gen_gnp(n, p, trial_seed)
-    if family == "kregular":
-        return gen_kregular(n, k, trial_seed)
-    if family == "planted":
-        if n % k:
-            raise ValueError("planted sweep needs n divisible by k")
-        return gen_planted_partition([n // k] * k, p, q, trial_seed)
-    if family in NAMED_FAMILIES:
-        return gen_named(family, n)
-    raise ValueError(f"unknown family {family!r}")
-
-
 def parse_config(path: str) -> dict[str, str]:
     """Flat key=value configuration file; '#' starts a comment."""
     out: dict[str, str] = {}
@@ -320,7 +297,7 @@ def sweep(config: dict, jobs: int = 1) -> list[TrialRecord]:
 def _sweep_trial(args: tuple) -> list[TrialRecord]:
     family, n, p, q, k, seed, t, alphas = args
     trial_seed = derive_seed(seed, t)
-    g = _sample_graph(family, n, p, q, k, trial_seed)
+    g = gen_family(family, n, p, q, k, trial_seed)
     diam = diameter(g)
     clique_mode = "exact" if g.n <= 128 else "greedy"
     kappa = clique_number(g, mode=clique_mode)

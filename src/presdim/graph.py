@@ -31,13 +31,17 @@ __all__ = [
     "gen_kregular",
     "gen_planted_partition",
     "gen_named",
+    "gen_family",
+    "planted_sizes",
+    "require_seed",
     "NAMED_FAMILIES",
+    "RANDOM_FAMILIES",
     "bfs_distances",
     "all_pairs_distances",
     "diameter",
     "ball_matrices",
     "connected_components",
-    "neighborhood_class_masks",
+    "neighborhood_classes",
     "quotient_by_neighborhood",
     "quotient_with_map",
     "spectrum_top2",
@@ -387,6 +391,35 @@ def gen_named(family: str, n: int) -> Graph:
     return from_edge_list(n, edges)
 
 
+RANDOM_FAMILIES = ("gnp", "kregular", "planted")
+
+
+def require_seed(seed: int | None) -> int:
+    if seed is None:
+        raise ValueError("this operation is randomized; pass --seed")
+    return seed
+
+
+def planted_sizes(n: int, k: int) -> list[int]:
+    """Sizes of k equal planted blocks on n vertices."""
+    if k < 1 or n % k:
+        raise ValueError(f"planted graphs need n divisible by k >= 1 blocks, got n={n}, k={k}")
+    return [n // k] * k
+
+
+def gen_family(family: str, n: int, p: float, q: float, k: int, seed: int | None) -> Graph:
+    """One graph of a named family or of a random one (``RANDOM_FAMILIES``):
+    G(n, p), k-regular, or k equal planted blocks at p inside and q across.
+    Random families need a seed; named ones ignore it and p, q, k."""
+    if family == "gnp":
+        return gen_gnp(n, p, require_seed(seed))
+    if family == "kregular":
+        return gen_kregular(n, k, require_seed(seed))
+    if family == "planted":
+        return gen_planted_partition(planted_sizes(n, k), p, q, require_seed(seed))
+    return gen_named(family, n)
+
+
 # -- traversal and statistics ---------------------------------------------
 
 
@@ -534,14 +567,14 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
-def neighborhood_class_masks(g: Graph) -> list[int]:
-    """Bitmasks of the closed-neighborhood equivalence classes, by min vertex."""
-    groups: dict[int, int] = {}
-    for v in range(g.n):
-        key = g.closed_row(v)
-        groups[key] = groups.get(key, 0) | (1 << v)
-    masks = sorted(groups.values(), key=lambda m: (m & -m).bit_length())
-    return masks
+def neighborhood_classes(g: Graph, vertices: Iterable[int] | None = None) -> list[list[int]]:
+    """``vertices`` (default all) grouped by identical closed neighborhood in
+    the full graph, groups in order of first appearance. The packed bit rows
+    act as exact hash and comparison keys at once."""
+    groups: dict[int, list[int]] = {}
+    for v in range(g.n) if vertices is None else vertices:
+        groups.setdefault(g.closed_row(v), []).append(v)
+    return list(groups.values())
 
 
 def quotient_with_map(g: Graph) -> tuple[Graph, list[int]]:
@@ -551,12 +584,12 @@ def quotient_with_map(g: Graph) -> tuple[Graph, list[int]]:
     representative (adjacency between classes is representative-independent).
     Also returns the class index of every vertex.
     """
-    masks = neighborhood_class_masks(g)
-    reps = [(m & -m).bit_length() - 1 for m in masks]
+    classes = neighborhood_classes(g)
     vmap = [-1] * g.n
-    for i, mask in enumerate(masks):
-        for v in bits(mask):
+    for i, members in enumerate(classes):
+        for v in members:
             vmap[v] = i
+    reps = [members[0] for members in classes]
     return Graph(len(reps), _pack_rows(g.matrix[np.ix_(reps, reps)])), vmap
 
 

@@ -91,7 +91,10 @@ class PointSet:
         d_ij equals d_ji exactly, so the matrix is bit-identical to the
         broadcast symmetrised by ``0.5 * (d + d.T)`` wherever that sum stays
         finite; ``check`` relies on this when it decides ``m > alpha*M``.
-        Peak memory is O(n^2) plus one block rather than O(n^2 d).
+        Under l2 an entry whose squared sum overflows although its difference
+        row is finite is recomputed as s * sqrt(sum((diff/s)^2)), s the row's
+        largest magnitude. Peak memory is O(n^2) plus one block rather than
+        O(n^2 d).
         """
         pts = self.points
         n, dim = pts.shape
@@ -108,6 +111,12 @@ class PointSet:
                 block = np.abs(diff, out=diff).sum(axis=2)
             else:
                 block = np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2))
+                i, j = np.nonzero(np.isinf(block))
+                if i.size:  # the squares overflowed
+                    diff = pts[lo + i] - pts[lo + j]
+                    s = np.abs(diff).max(axis=1)
+                    ok = np.isfinite(s)
+                    block[i[ok], j[ok]] = s[ok] * np.sqrt(np.square(diff[ok] / s[ok, None]).sum(axis=1))
             d[lo:hi, lo:] = block
             d[lo:, lo:hi] = block.T
             lo = hi
@@ -367,7 +376,16 @@ def doubling_dimension(
 
 # -- text formats ---------------------------------------------------------------
 # FiniteMetric: first line "n", then n rows of n space-separated reals.
-# PointSet: first line "n d p", then n coordinate rows.
+# PointSet: first line "n d p", then n coordinate rows. Lines starting with
+# '#' are comments.
+
+
+def _data_lines(path: str) -> list[str]:
+    with open(path) as fh:
+        lines = [ln for ln in (s.strip() for s in fh) if ln and not ln.startswith("#")]
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    return lines
 
 
 def write_metric(m: FiniteMetric, path: str) -> None:
@@ -378,10 +396,11 @@ def write_metric(m: FiniteMetric, path: str) -> None:
 
 
 def read_metric(path: str, pseudo: bool = False) -> FiniteMetric:
-    with open(path) as fh:
-        lines = [ln for ln in (s.strip() for s in fh) if ln and not ln.startswith("#")]
+    lines = _data_lines(path)
     n = int(lines[0])
-    rows = [[float(tok) for tok in ln.split()] for ln in lines[1 : n + 1]]
+    rows = [[float(tok) for tok in ln.split()] for ln in lines[1:]]
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"{path}: header declares {n} points, rows do not form an {n} x {n} matrix")
     m = FiniteMetric(np.array(rows), pseudo=pseudo)
     if not np.isfinite(m.dist).all():
         raise ValueError(f"{path}: distances must be finite")
@@ -400,8 +419,7 @@ def write_points(p: PointSet, path: str) -> None:
 
 
 def read_points(path: str) -> PointSet:
-    with open(path) as fh:
-        lines = [ln for ln in (s.strip() for s in fh) if ln and not ln.startswith("#")]
+    lines = _data_lines(path)
     n_tok, d_tok, p_tok = lines[0].split()
     n, dim = int(n_tok), int(d_tok)
     norm = math.inf if p_tok == "inf" else float(p_tok)

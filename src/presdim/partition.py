@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .config import DEFAULT_LIMITS
-from .graph import Graph, bits
+from .graph import Graph, bits, neighborhood_classes
 
 __all__ = [
     "VertexPartition",
@@ -324,14 +324,9 @@ def neighborhood_partition(g: Graph, subset: Sequence[int] | None = None) -> Ver
 
     Neighborhoods are always taken with respect to the full graph, also when
     a ``subset`` restricts which vertices are grouped; this is what makes the
-    partition size monotone under taking subsets. The packed bit rows act as
-    exact hash and comparison keys at once.
+    partition size monotone under taking subsets.
     """
-    vertices = range(g.n) if subset is None else subset
-    groups: dict[int, list[int]] = {}
-    for v in vertices:
-        groups.setdefault(g.closed_row(v), []).append(v)
-    return VertexPartition(_normalize_blocks(list(groups.values())), mode="exact")
+    return VertexPartition(_normalize_blocks(neighborhood_classes(g, subset)), mode="exact")
 
 
 def neighborhood_class_count(g: Graph, subset: Sequence[int] | None = None) -> int:

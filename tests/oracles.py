@@ -349,3 +349,136 @@ def distances_oracle(g: Graph) -> np.ndarray:
     matrix read edge by edge."""
     a = np.array([[1.0 if g.has_edge(u, v) else 0.0 for v in range(g.n)] for u in range(g.n)])
     return shortest_path(a.reshape(g.n, g.n), method="D", unweighted=True)
+
+
+def _closed_classes_oracle(g: Graph, vertices) -> list[list[int]]:
+    """``vertices`` grouped by closed neighborhood (as vertex sets), each class
+    sorted, classes ordered by their lowest member."""
+    groups: dict[frozenset, list[int]] = {}
+    for v in vertices:
+        groups.setdefault(frozenset([v, *g.neighbors(v)]), []).append(v)
+    return sorted((sorted(c) for c in groups.values()), key=lambda c: c[0])
+
+
+def grid_packing_oracle(n: int, r: float, eps: float) -> np.ndarray:
+    """``construct.grid_packing_linf`` points as first written: the base-s
+    digits of each index, one axis at a time."""
+    from presdim.construct import grid_dim
+    from presdim.util import int_ceil
+
+    if n == 1:
+        return np.zeros((1, 1))
+    s = int_ceil(r / eps)
+    d = grid_dim(n, s)
+    axis = [0.0]
+    for _ in range(min(s, n) - 1):
+        w = axis[-1] + eps
+        while w - axis[-1] < eps:
+            w = math.nextafter(w, math.inf)
+        axis.append(w)
+    pts = np.empty((n, d))
+    for i in range(n):
+        x = i
+        for axis_idx in range(d - 1, -1, -1):
+            pts[i, axis_idx] = axis[x % s]
+            x //= s
+    return pts
+
+
+def pseudo_metric_oracle(g: Graph, alpha: float, limit=None):
+    """``construct.pseudo_metric_embedding`` as first written: one distance
+    per pair of class points, from the two points' grid coordinates inside a
+    block and from an edge query between representatives across blocks."""
+    from presdim.construct import EmbeddingResult, _largest_margin, pseudo_metric_dim
+    from presdim.metric import FiniteMetric
+    from presdim.partition import gated_clique_cover
+
+    limiting = alpha == 1.0
+    a = 1.0 + 1e-6 if limiting else alpha
+    eps = _largest_margin(a)
+    part = gated_clique_cover(g, limit)
+    point_part: list[int] = []
+    point_coords: list[np.ndarray] = []
+    vmap = [-1] * g.n
+    biggest_class_count = 1
+    for bi, block in enumerate(part.blocks):
+        ordered = _closed_classes_oracle(g, block)
+        k = len(ordered)
+        biggest_class_count = max(biggest_class_count, k)
+        grid = grid_packing_oracle(k, 1.0 - eps, a - 1.0 + eps) if k > 1 else np.zeros((1, 1))
+        for ci, members in enumerate(ordered):
+            pid = len(point_part)
+            point_part.append(bi)
+            point_coords.append(grid[ci])
+            for v in members:
+                vmap[v] = pid
+    n_pts = len(point_part)
+    reps = [-1] * n_pts
+    for v in range(g.n):
+        if reps[vmap[v]] == -1:
+            reps[vmap[v]] = v
+    dist = np.zeros((n_pts, n_pts))
+    for i in range(n_pts):
+        for j in range(i + 1, n_pts):
+            if point_part[i] == point_part[j]:
+                dij = float(np.max(np.abs(point_coords[i] - point_coords[j])))
+            else:
+                dij = 1.0 - eps if g.has_edge(reps[i], reps[j]) else a
+            dist[i, j] = dist[j, i] = dij
+    label = "pseudo_metric[limit at 1]" if limiting else "pseudo_metric"
+    return EmbeddingResult(
+        target=FiniteMetric(dist),
+        vertex_map=tuple(vmap),
+        claimed_alpha=(0.0, alpha),
+        claimed_r=1.0,
+        claimed_dim_bound=pseudo_metric_dim(part.size, biggest_class_count, a),
+        source=f"{label}[{part.mode}]",
+    )
+
+
+def frechet_quotient_oracle(g: Graph):
+    """``construct.frechet_quotient_embedding`` as first written: on a
+    disconnected quotient, each coordinate filled vertex by vertex, per
+    component and landmark, then one indicator axis per component at
+    2*(max eccentricity) + 1."""
+    from presdim.construct import EmbeddingResult, linf_dim
+
+    classes = _closed_classes_oracle(g, range(g.n))
+    vmap = [-1] * g.n
+    for i, members in enumerate(classes):
+        for v in members:
+            vmap[v] = i
+    h = g.induced([members[0] for members in classes])
+    d = distances_oracle(h)
+    finite = d[np.isfinite(d)]
+    if np.isfinite(d).all():
+        coords = d[:, 1:] if h.n > 1 else np.zeros((1, 1))
+    else:
+        comps = []
+        seen: set[int] = set()
+        for s in range(h.n):
+            if s not in seen:
+                comp = sorted(int(v) for v in np.flatnonzero(np.isfinite(d[s])))
+                seen.update(comp)
+                comps.append(comp)
+        spread = 2.0 * float(finite.max()) + 1.0
+        cols = sum(max(len(c) - 1, 0) for c in comps) + len(comps)
+        coords = np.zeros((h.n, cols))
+        col = 0
+        for comp in comps:
+            for landmark in comp[1:]:
+                for v in comp:
+                    coords[v, col] = d[v, landmark]
+                col += 1
+        for comp in comps:
+            for v in comp:
+                coords[v, col] = spread
+            col += 1
+    return EmbeddingResult(
+        target=PointSet(coords, norm=math.inf),
+        vertex_map=tuple(vmap),
+        claimed_alpha=(1.0, 2.0),
+        claimed_r=1.5,
+        claimed_dim_bound=linf_dim(h.n),
+        source="frechet_quotient",
+    )

@@ -242,3 +242,41 @@ def test_edge_list_comments_blanks_and_no_edges(tmp_path):
     g = read_edge_list(str(path))
     assert sorted(g.edges()) == [(0, 1), (2, 3)] and g.blocks == (0, 0, 1, 1)
     assert main(["analyze", str(path), "--alpha", "1.0"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "planted", "--k", "0"],
+        ["--kind", "planted", "--k", "-2"],
+        ["--kind", "theorem2", "--alpha", "0"],
+        ["--kind", "theorem2", "--alpha", "2"],
+    ],
+    ids=["planted-k0", "planted-negative-k", "theorem2-alpha0", "theorem2-alpha2"],
+)
+def test_experiment_out_of_range_parameters_exit_two(argv):
+    assert main(["experiment", *argv, "--n", "12", "--trials", "2", "--seed", "1"]) == 2
+
+
+def test_planted_sweep_without_k_exits_two(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("family=planted\nn=8\ntrials=1\nseed=3\nalpha_grid=1.5\np=0.9\nq=0.1\n")
+    assert main(["experiment", "--kind", "sweep", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--metric", ""),
+        ("--metric", "# only a comment\n"),
+        ("--metric", "3\n0 1\n1 0\n"),
+        ("--metric", "2\n0 1 1\n1 0 1\n"),
+        ("--metric", "2\n0 1\n1 0\n1 1\n"),
+        ("--points", ""),
+    ],
+    ids=["empty-metric", "comment-only-metric", "missing-row", "long-rows", "extra-row", "empty-points"],
+)
+def test_doubling_rejects_misshapen_input(tmp_path, flag, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert main(["doubling", flag, str(path)]) == 2

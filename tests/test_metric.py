@@ -346,3 +346,29 @@ def test_points_serialization_round_trip(tmp_path):
     write_points(p, str(path))
     back = read_points(str(path))
     assert np.array_equal(back.points, p.points) and back.norm == math.inf
+
+
+def test_l2_distances_rescale_overflowing_squares():
+    """diff * diff overflows above about 1e154; such entries are recomputed
+    from the scaled difference row, so l2 agrees with l1 in one dimension."""
+    g = from_edge_list(3, [(0, 1)])
+    pts = np.array([[0.0], [1e308], [5e307]])
+    l1, l2 = PointSet(pts, norm=1.0), PointSet(pts, norm=2.0)
+    assert np.array_equal(l2.distance_matrix(), l1.distance_matrix())
+    cert = check(g, l2, 0.4)
+    assert cert.passed and cert.max_neighbor == 1e308 and cert.alpha_max == 0.5
+    assert not check(g, l2, 0.6).passed
+    # A difference that itself overflows stays infinite.
+    assert PointSet(np.array([[-1e308], [1e308]]), norm=2.0).distance_matrix()[0, 1] == math.inf
+
+
+def test_l2_rescaling_leaves_finite_entries_bit_identical():
+    pts = np.random.default_rng(3).standard_normal((7, 3))
+    pts[4] = [1e200, -3e199, 5.0]
+    got = PointSet(pts, norm=2.0).distance_matrix()
+    plain = distance_matrix_oracle(pts, 2.0)
+    overflowed = np.isinf(plain)
+    assert overflowed.sum() == 12  # row and column 4, off the diagonal
+    assert np.array_equal(got[~overflowed], plain[~overflowed])
+    for i, j in zip(*np.nonzero(overflowed)):
+        assert got[i, j] == pytest.approx(math.hypot(*(pts[i] - pts[j])), rel=1e-15)
