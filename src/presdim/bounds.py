@@ -234,6 +234,12 @@ def diameter2_probability_floor(n: int, q: float) -> tuple[float, bool]:
     return _clamped(1.0 - n * n * math.exp(-q * q * (n - 1)))
 
 
+def planted_recovery_floor(n: int, k: int, q: float, c: float = 1.0) -> tuple[float, bool]:
+    """Floor on P[all n closed neighborhoods distinct] with k planted blocks and
+    cross-block edge probability q; clamped into [0, 1] (vacuous values flagged)."""
+    return _clamped(1.0 - n * n * (max(q, 1.0 - q) ** (2.0 * n * (1.0 - c / k)) + math.exp(-q * q * (n - 1))))
+
+
 def clique_number_markov_ceiling(n: int) -> tuple[float, bool]:
     """Ceiling on P[clique number >= ceil(2 sqrt(n))]: n^m 2^(-C(m,2)), clamped."""
     m = math.ceil(2.0 * math.sqrt(n))
@@ -244,6 +250,9 @@ def clique_number_markov_ceiling(n: int) -> tuple[float, bool]:
 def regular_diameter_bound(n: int, k: int) -> int:
     """Spectral diameter ceiling for k-regular graphs (k >= 4, n >= 6 even)."""
     return int_ceil(math.log(n - 1) / math.log(k / (2.0 * math.sqrt(k - 1.0) + 0.5)))
+
+
+TYPICAL_GNP_MIN_N = 82  # the typical_gnp_* bounds are stated for n >= this
 
 
 def theorem_formulas(
@@ -265,13 +274,19 @@ def theorem_formulas(
     """
     out: dict[str, object] = {}
     notes: list[str] = []
+
+    def put_clamped(key: str, value: tuple[float, bool]) -> None:
+        out[key] = value[0]
+        if value[1]:
+            notes.append(f"{key} clamped (vacuous bound)")
+
     if n is not None and alpha is not None and 0 < alpha < 2:
         out["typical_gnp_lower"] = (math.log(n) - 2 * math.log(2)) / (
             2 * math.log(8 / alpha)
         )
         out["typical_gnp_fraction_floor"] = 1.0 - 2.0 ** (-n / 5.0)
-        if n < 82:
-            notes.append("typical_gnp bounds are stated for n >= 82")
+        if n < TYPICAL_GNP_MIN_N:
+            notes.append(f"typical_gnp bounds are stated for n >= {TYPICAL_GNP_MIN_N}")
     if n is not None and alpha is not None and k is not None and k >= 4:
         diam = regular_diameter_bound(n, k)
         out["regular_diameter_bound"] = diam
@@ -302,24 +317,11 @@ def theorem_formulas(
                 "statement; the surrounding discussion prints log(k/3c)"
             )
         if n is not None and k is not None:
-            val, clamped = _clamped(
-                1.0
-                - n * n * (max(q, 1.0 - q) ** (2.0 * n * (1.0 - c / k))
-                           + math.exp(-q * q * (n - 1)))
-            )
-            out["planted_recovery_floor"] = val
-            if clamped:
-                notes.append("planted_recovery_floor clamped (vacuous bound)")
+            put_clamped("planted_recovery_floor", planted_recovery_floor(n, k, q, c))
     if n is not None and q is not None:
-        val, clamped = diameter2_probability_floor(n, q)
-        out["diameter2_floor"] = val
-        if clamped:
-            notes.append("diameter2_floor clamped (vacuous bound)")
+        put_clamped("diameter2_floor", diameter2_probability_floor(n, q))
     if n is not None:
-        val, clamped = clique_number_markov_ceiling(n)
-        out["clique_markov_ceiling"] = val
-        if clamped:
-            notes.append("clique_markov_ceiling clamped (vacuous bound)")
+        put_clamped("clique_markov_ceiling", clique_number_markov_ceiling(n))
     if lam is not None:
         out["l2_level_ceiling"] = (
             math.inf if lam <= 1.0 else (1.0 - 1.0 / lam) ** -0.5
@@ -330,6 +332,9 @@ def theorem_formulas(
 
 
 # -- aggregation -------------------------------------------------------------------
+
+
+VALIDATION_LIMIT = 40  # reports certify their constructive uppers up to this n
 
 
 def _validated(g: Graph, alpha: float, ub: UpperBound, limits: Limits) -> UpperBound:
@@ -352,7 +357,7 @@ def report(
     """Aggregate feasibility, lower bounds, and upper bounds at one level.
 
     ``validate`` controls whether constructive uppers are built and
-    certified; default: only for graphs up to the validation size limit.
+    certified; default: only for graphs of at most ``VALIDATION_LIMIT`` vertices.
     """
     if not alpha > 0:  # NaN too, before the subset profile is built
         raise ValueError("alpha must be positive")
@@ -396,7 +401,7 @@ def report(
 
     ups, omitted = upper_bounds(g, alpha, limits=limits)
     if validate is None:
-        validate = g.n <= limits.report_validation
+        validate = g.n <= VALIDATION_LIMIT
     if validate:
         ups = [_validated(g, alpha, ub, limits) for ub in ups]
 

@@ -1,8 +1,7 @@
-"""Default size limits for exact-mode combinatorial searches.
+"""Default size limit and node budget for exact-mode combinatorial searches.
 
-These are configuration values rather than hard-coded constants: every
-exact-mode operation accepts an explicit ``limit``/``budget`` override and
-falls back to the defaults below.
+Every exact-mode operation accepts an explicit ``limit``/``budget`` override
+and falls back to these defaults; ``--mode greedy`` sets ``exact_cover`` to 0.
 """
 
 from __future__ import annotations
@@ -15,10 +14,7 @@ __all__ = ["Limits", "DEFAULT_LIMITS"]
 @dataclass(frozen=True)
 class Limits:
     exact_cover: int = 20          # clique cover via complement coloring
-    exact_covering_number: int = 22  # set-cover branch and bound
-    exact_doubling: int = 14       # doubling-dimension estimation
     clique_budget: int = 2_000_000  # max-clique branch-and-bound node budget
-    report_validation: int = 40    # build-and-verify constructive uppers up to n
 
 
 DEFAULT_LIMITS = Limits()

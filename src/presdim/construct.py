@@ -30,6 +30,7 @@ from .graph import (
     GenerationError,
     all_pairs_distances,
     connected_components,
+    group_index,
     quotient_by_neighborhood,
     quotient_with_map,
     require_seed,
@@ -392,10 +393,7 @@ def pseudo_metric_embedding(
     points = [members for block in classes for members in block]
     reps = [members[0] for members in points]
     dist = np.where(g.matrix[np.ix_(reps, reps)], 1.0 - eps, a)
-    vmap = [-1] * g.n
-    for pid, members in enumerate(points):
-        for v in members:
-            vmap[v] = pid
+    vmap = group_index(points, g.n)
     # Each block's classes are packed on a grid; 0 < a-1+eps < 1-eps because
     # the margin keeps ceil((1-eps)/(a-1+eps)) = ceil(1/(a-1)) >= 2.
     lo = 0

@@ -13,13 +13,15 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 from .bounds import (
+    TYPICAL_GNP_MIN_N,
     clique_number_markov_ceiling,
     cluster_saliency,
     diameter2_probability_floor,
+    planted_recovery_floor,
     profile_lower,
     subset_profile,
     theorem_formulas,
@@ -58,16 +60,7 @@ class MCResult:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "trials": self.trials,
-            "empirical": self.empirical,
-            "bound": self.bound,
-            "bound_kind": self.bound_kind,
-            "bound_clamped": self.bound_clamped,
-            "extras": self.extras,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -159,7 +152,8 @@ def mc_theorem2(
         raise ValueError("need at least one trial")
     if not 0 < alpha < 2:
         raise ValueError("theorem 2 needs alpha in (0, 2)")
-    formula = (math.log(n) - 2 * math.log(2)) / (2 * math.log(8.0 / alpha))
+    formulas = theorem_formulas(n=n, alpha=alpha)
+    formula = formulas["typical_gnp_lower"]
     rows = _run(_trial_theorem2, [(n, alpha, seed, t) for t in range(trials)], jobs)
     meets = sum(1 for value, _, _ in rows if value >= formula - 1e-12)
     return MCResult(
@@ -167,12 +161,12 @@ def mc_theorem2(
         params={"n": n, "alpha": alpha, "seed": seed},
         trials=trials,
         empirical=meets / trials,
-        bound=1.0 - 2.0 ** (-n / 5.0),
+        bound=formulas["typical_gnp_fraction_floor"],
         bound_kind="floor",
         bound_clamped=False,
         extras={
             "formula_value": formula,
-            "in_regime": n >= 82,
+            "in_regime": n >= TYPICAL_GNP_MIN_N,
             "mean_trial_value": sum(v for v, _, _ in rows) / trials,
         },
     )
@@ -208,8 +202,7 @@ def mc_planted(
     frac_diam2 = sum(1 for _, d, _ in rows if d) / trials
     kappas = [kk for _, _, kk in rows]
     formulas = theorem_formulas(n=n, alpha=alpha, k=k, p=p, q=q, c=1.0)
-    floor = formulas.get("planted_recovery_floor", 0.0)
-    clamped = any("planted_recovery_floor clamped" in s for s in formulas.get("_notes", []))
+    floor, clamped = planted_recovery_floor(n, k, q)
     extras = {
         "frac_diameter_le_2": frac_diam2,
         "mean_clique_number": sum(kappas) / trials,
@@ -224,7 +217,7 @@ def mc_planted(
         params={"n": n, "k": k, "p": p, "q": q, "alpha": alpha, "seed": seed},
         trials=trials,
         empirical=frac_full,
-        bound=float(floor),
+        bound=floor,
         bound_kind="floor",
         bound_clamped=clamped,
         extras=extras,

@@ -41,6 +41,8 @@ __all__ = [
     "diameter",
     "ball_matrices",
     "connected_components",
+    "complement_matrix",
+    "group_index",
     "neighborhood_classes",
     "quotient_by_neighborhood",
     "quotient_with_map",
@@ -175,11 +177,6 @@ class Graph:
         for u in range(self.n):
             for v in bits(self.rows[u] >> (u + 1)):
                 yield (u, u + 1 + v)
-
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        rows = tuple((full ^ self.rows[v]) & ~(1 << v) for v in range(self.n))
-        return Graph(self.n, rows)
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Subgraph induced by ``vertices`` (relabeled 0..len-1 in given order)."""
@@ -567,6 +564,22 @@ def connected_components(g: Graph) -> list[list[int]]:
     return comps
 
 
+def complement_matrix(g: Graph) -> np.ndarray:
+    """Boolean adjacency of the complement graph, as a new writable array."""
+    a = ~g.matrix
+    np.fill_diagonal(a, False)
+    return a
+
+
+def group_index(groups: Iterable[Iterable[int]], n: int) -> list[int]:
+    """Index of the group holding each vertex 0..n-1 (-1 where none does)."""
+    idx = [-1] * n
+    for i, members in enumerate(groups):
+        for v in members:
+            idx[v] = i
+    return idx
+
+
 def neighborhood_classes(g: Graph, vertices: Iterable[int] | None = None) -> list[list[int]]:
     """``vertices`` (default all) grouped by identical closed neighborhood in
     the full graph, groups in order of first appearance. The packed bit rows
@@ -585,12 +598,8 @@ def quotient_with_map(g: Graph) -> tuple[Graph, list[int]]:
     Also returns the class index of every vertex.
     """
     classes = neighborhood_classes(g)
-    vmap = [-1] * g.n
-    for i, members in enumerate(classes):
-        for v in members:
-            vmap[v] = i
     reps = [members[0] for members in classes]
-    return Graph(len(reps), _pack_rows(g.matrix[np.ix_(reps, reps)])), vmap
+    return Graph(len(reps), _pack_rows(g.matrix[np.ix_(reps, reps)])), group_index(classes, g.n)
 
 
 def quotient_by_neighborhood(g: Graph) -> Graph:

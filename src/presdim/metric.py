@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS
 from .graph import _block_rows, _pack_rows as _row_masks, bits
+from .partition import _max_clique_mask
 
 __all__ = [
     "FiniteMetric",
@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 METRIC_TOL = 1e-12
+# Default size limits of the exact covering/packing and doubling searches.
+EXACT_COVERING_LIMIT = 22
+EXACT_DOUBLING_LIMIT = 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +145,7 @@ class MetricViolation:
     detail: str
 
 
-def validate_entries(d: np.ndarray, tol: float = METRIC_TOL) -> MetricViolation | None:
+def validate_entries(d: np.ndarray) -> MetricViolation | None:
     """The O(n^2) checks of a square distance matrix (no NaN, symmetry, zero
     diagonal, nonnegativity): the first violation with a witness, or None."""
     n = d.shape[0]
@@ -151,22 +154,22 @@ def validate_entries(d: np.ndarray, tol: float = METRIC_TOL) -> MetricViolation 
         i, j = np.unravel_index(int(np.argmax(nan)), nan.shape)
         return MetricViolation("nan", (int(i), int(j)), "d_ij is NaN")
     asym = np.abs(d - d.T)
-    if n and asym.max() > tol:
+    if n and asym.max() > METRIC_TOL:
         i, j = np.unravel_index(int(np.argmax(asym)), asym.shape)
         return MetricViolation("symmetry", (int(i), int(j)), f"|d_ij - d_ji| = {asym[i, j]:.3g}")
     diag = np.abs(np.diag(d))
-    if n and diag.max() > tol:
+    if n and diag.max() > METRIC_TOL:
         i = int(np.argmax(diag))
         return MetricViolation("diagonal", (i,), f"d_ii = {d[i, i]:.3g}")
-    if n and d.min() < -tol:
+    if n and d.min() < -METRIC_TOL:
         i, j = np.unravel_index(int(np.argmin(d)), d.shape)
         return MetricViolation("nonnegativity", (int(i), int(j)), f"d_ij = {d[i, j]:.3g}")
     return None
 
 
-def validate_metric(m: FiniteMetric, tol: float = METRIC_TOL) -> MetricViolation | None:
+def validate_metric(m: FiniteMetric) -> MetricViolation | None:
     """Return the first violated metric axiom with a witness, or None."""
-    violation = validate_entries(m.dist, tol)
+    violation = validate_entries(m.dist)
     if violation is not None:
         return violation
     d = m.dist
@@ -182,7 +185,7 @@ def validate_metric(m: FiniteMetric, tol: float = METRIC_TOL) -> MetricViolation
         # excess[j, k] = d[i, k] - d[i, j] - d[j, k]
         excess = d[i][None, :] - d[i][:, None] - d
         worst = excess.max()
-        if worst > tol:
+        if worst > METRIC_TOL:
             j, k = np.unravel_index(int(np.argmax(excess)), excess.shape)
             return MetricViolation(
                 "triangle", (i, int(j), int(k)), f"excess = {worst:.3g}"
@@ -253,7 +256,7 @@ def covering_number(
     subset: Sequence[int] | None,
     eps: float,
     mode: str = "exact",
-    limit: int | None = None,
+    limit: int = EXACT_COVERING_LIMIT,
 ) -> int:
     """Minimum number of open eps-balls (centered at points of m) covering subset.
 
@@ -264,7 +267,6 @@ def covering_number(
     sub = list(range(m.n)) if subset is None else list(subset)
     if not sub:
         return 0
-    limit = DEFAULT_LIMITS.exact_covering_number if limit is None else limit
     if mode == "exact" and len(sub) > limit:
         raise ValueError(f"exact covering limited to |subset| <= {limit}, got {len(sub)}")
     universe = (1 << len(sub)) - 1
@@ -281,7 +283,7 @@ def packing_number(
     subset: Sequence[int] | None,
     eps: float,
     mode: str = "exact",
-    limit: int | None = None,
+    limit: int = EXACT_COVERING_LIMIT,
 ) -> int:
     """Largest subset with pairwise distance >= eps.
 
@@ -295,17 +297,13 @@ def packing_number(
     k = len(sub)
     if k == 0:
         return 0
-    limit = DEFAULT_LIMITS.exact_covering_number if limit is None else limit
     d = m.dist
     if mode == "exact":
         if k > limit:
             raise ValueError(f"exact packing limited to |subset| <= {limit}, got {k}")
-        from .graph import Graph
-        from .partition import clique_number
-
         idx = np.asarray(sub, dtype=int)
         far = np.triu(d[np.ix_(idx, idx)] >= eps, 1)
-        return clique_number(Graph(k, _row_masks(far | far.T)), mode="exact")
+        return _max_clique_mask(far | far.T).bit_count()
     if mode != "greedy":
         raise ValueError("mode must be 'exact' or 'greedy'")
     chosen = [sub[0]]
@@ -323,7 +321,7 @@ def packing_number(
 
 
 def doubling_dimension(
-    m: FiniteMetric, mode: str = "exact", limit: int | None = None
+    m: FiniteMetric, mode: str = "exact", limit: int = EXACT_DOUBLING_LIMIT
 ) -> int:
     """Smallest d such that every open ball is covered by <= 2^d half-radius balls.
 
@@ -342,7 +340,6 @@ def doubling_dimension(
     ``_min_cover`` branches and ``_greedy_cover`` breaks ties exactly as on
     subset-relative masks.
     """
-    limit = DEFAULT_LIMITS.exact_doubling if limit is None else limit
     if m.n == 0:
         raise ValueError("doubling dimension of an empty space is undefined")
     if mode == "exact" and m.n > limit:
@@ -388,6 +385,14 @@ def _data_lines(path: str) -> list[str]:
     return lines
 
 
+def _table(path: str, lines: list[str], n: int, d: int) -> np.ndarray:
+    """The (n, d) array of reals held by exactly n lines of d tokens each."""
+    rows = [[float(tok) for tok in ln.split()] for ln in lines]
+    if len(rows) != n or any(len(row) != d for row in rows):
+        raise ValueError(f"{path}: header declares {n} rows of {d} values, the rows do not match")
+    return np.array(rows, dtype=np.float64).reshape(n, d)
+
+
 def write_metric(m: FiniteMetric, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(f"{m.n}\n")
@@ -398,10 +403,7 @@ def write_metric(m: FiniteMetric, path: str) -> None:
 def read_metric(path: str, pseudo: bool = False) -> FiniteMetric:
     lines = _data_lines(path)
     n = int(lines[0])
-    rows = [[float(tok) for tok in ln.split()] for ln in lines[1:]]
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise ValueError(f"{path}: header declares {n} points, rows do not form an {n} x {n} matrix")
-    m = FiniteMetric(np.array(rows), pseudo=pseudo)
+    m = FiniteMetric(_table(path, lines[1:], n, n), pseudo=pseudo)
     if not np.isfinite(m.dist).all():
         raise ValueError(f"{path}: distances must be finite")
     bad = validate_entries(m.dist)
@@ -423,8 +425,7 @@ def read_points(path: str) -> PointSet:
     n_tok, d_tok, p_tok = lines[0].split()
     n, dim = int(n_tok), int(d_tok)
     norm = math.inf if p_tok == "inf" else float(p_tok)
-    rows = [[float(tok) for tok in ln.split()] for ln in lines[1 : n + 1]]
-    pts = np.array(rows, dtype=np.float64).reshape(n, dim)
+    pts = _table(path, lines[1:], n, dim)
     if not np.isfinite(pts).all():
         raise ValueError(f"{path}: coordinates must be finite")
     return PointSet(pts, norm=norm)

@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .config import DEFAULT_LIMITS
-from .graph import Graph, bits, neighborhood_classes
+from .graph import Graph, _pack_rows, bits, complement_matrix, group_index, neighborhood_classes
 
 __all__ = [
     "VertexPartition",
@@ -53,12 +55,7 @@ class VertexPartition:
 
     def part_index(self) -> list[int]:
         """Vertex -> block index lookup."""
-        n = sum(len(b) for b in self.blocks)
-        idx = [-1] * n
-        for i, block in enumerate(self.blocks):
-            for v in block:
-                idx[v] = i
-        return idx
+        return group_index(self.blocks, sum(len(b) for b in self.blocks))
 
 
 def _normalize_blocks(groups: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -97,17 +94,25 @@ def greedy_clique(g: Graph) -> list[int]:
     return list(bits(_greedy_clique_mask(g.rows, (1 << g.n) - 1)))
 
 
+def _dsatur_pick(colors: Sequence[int], sat: Sequence[int], degree: Sequence[int]) -> int:
+    """The uncolored vertex DSATUR colors next: most distinct neighbor colors
+    (``sat`` holds them as bitmasks), then highest degree, then lowest index."""
+    v, key = -1, (-1, -1, 0)
+    for u, c in enumerate(colors):
+        if c == -1:
+            k = (sat[u].bit_count(), degree[u], -u)
+            if k > key:
+                key, v = k, u
+    return v
+
+
 def _dsatur_greedy(rows: Sequence[int], n: int) -> list[int]:
-    """Greedy DSATUR coloring; ties broken by degree then lowest index."""
+    """Greedy DSATUR coloring."""
     colors = [-1] * n
     sat = [0] * n  # bitmask of colors used by neighbors
+    degree = [row.bit_count() for row in rows]
     for _ in range(n):
-        v, key = -1, (-1, -1, 0)
-        for u in range(n):
-            if colors[u] == -1:
-                k = (sat[u].bit_count(), rows[u].bit_count(), -u)
-                if k > key:
-                    key, v = k, u
+        v = _dsatur_pick(colors, sat, degree)
         c = 0
         while (sat[v] >> c) & 1:
             c += 1
@@ -127,20 +132,15 @@ def greedy_coloring_size(g: Graph) -> int:
 # -- exact maximum clique ----------------------------------------------------
 
 
-def _max_clique_mask(rows: Sequence[int], n: int, budget: int) -> int:
-    """Branch and bound with a greedy-coloring bound (bitset candidate sets)."""
+def _max_clique_mask(a: np.ndarray, budget: int | None = None) -> int:
+    """Branch and bound with a greedy-coloring bound (bitset candidate sets)
+    on boolean adjacency ``a``, vertices taken by nonincreasing degree."""
+    n = len(a)
     if n == 0:
         return 0
-    order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
-    back = [0] * n
-    for i, v in enumerate(order):
-        back[v] = i
-    rr = [0] * n
-    for v in range(n):
-        row = 0
-        for u in bits(rows[v]):
-            row |= 1 << back[u]
-        rr[back[v]] = row
+    budget = DEFAULT_LIMITS.clique_budget if budget is None else budget
+    order = np.argsort(-np.count_nonzero(a, axis=1), kind="stable").tolist()
+    rr = _pack_rows(a[np.ix_(order, order)])
 
     best_mask = _greedy_clique_mask(rr, (1 << n) - 1)
     best = best_mask.bit_count()
@@ -186,22 +186,26 @@ def _max_clique_mask(rows: Sequence[int], n: int, budget: int) -> int:
 
 def max_clique(g: Graph, budget: int | None = None) -> list[int]:
     """Exact maximum clique (sorted vertex list)."""
-    budget = DEFAULT_LIMITS.clique_budget if budget is None else budget
-    return list(bits(_max_clique_mask(g.rows, g.n, budget)))
+    return list(bits(_max_clique_mask(g.matrix, budget)))
+
+
+def _clique_size(a: np.ndarray, mode: str, budget: int | None) -> int:
+    """Largest clique size on boolean adjacency ``a``, exact or a greedy lower bound."""
+    if mode == "greedy":
+        return _greedy_clique_mask(_pack_rows(a), (1 << len(a)) - 1).bit_count()
+    if mode != "exact":
+        raise ValueError("mode must be 'exact' or 'greedy'")
+    return _max_clique_mask(a, budget).bit_count()
 
 
 def clique_number(g: Graph, mode: str = "exact", budget: int | None = None) -> int:
     """Size of the largest clique; greedy mode returns a lower bound."""
-    if mode == "greedy":
-        return _greedy_clique_mask(g.rows, (1 << g.n) - 1).bit_count()
-    if mode != "exact":
-        raise ValueError("mode must be 'exact' or 'greedy'")
-    return len(max_clique(g, budget=budget))
+    return _clique_size(g.matrix, mode, budget)
 
 
 def independence_number(g: Graph, mode: str = "exact", budget: int | None = None) -> int:
     """Size of the largest independent set (clique number of the complement)."""
-    return clique_number(g.complement(), mode=mode, budget=budget)
+    return _clique_size(complement_matrix(g), mode, budget)
 
 
 # -- minimum clique partition (coloring of the complement) -------------------
@@ -225,6 +229,7 @@ def _exact_coloring(rows: Sequence[int], n: int, budget: int) -> list[int]:
 
     colors = [-1] * n
     sat = [0] * n
+    degree = [row.bit_count() for row in rows]
     # Symmetry breaking: a clique must take pairwise distinct colors.
     for c, v in enumerate(clique):
         colors[v] = c
@@ -245,12 +250,7 @@ def _exact_coloring(rows: Sequence[int], n: int, budget: int) -> list[int]:
             if best_k == lb:
                 raise _Done
             return
-        v, key = -1, (-1, -1, 0)
-        for u in range(n):
-            if colors[u] == -1:
-                k = (sat[u].bit_count(), rows[u].bit_count(), -u)
-                if k > key:
-                    key, v = k, u
+        v = _dsatur_pick(colors, sat, degree)
         for c in range(used + (1 if used < best_k - 1 else 0)):
             if (sat[v] >> c) & 1:
                 continue
@@ -290,22 +290,18 @@ def clique_cover(
     if mode == "exact":
         if g.n > limit:
             raise ValueError(f"exact clique cover limited to n <= {limit}, got {g.n}")
-        comp = g.complement()
-        colors = _exact_coloring(comp.rows, comp.n, budget)
-        k = max(colors) + 1 if colors else 0
-        groups: list[list[int]] = [[] for _ in range(k)]
-        for v, c in enumerate(colors):
-            groups[c].append(v)
-        return VertexPartition(_normalize_blocks(groups), mode="exact")
-    if mode != "greedy":
+        colors = _exact_coloring(_pack_rows(complement_matrix(g)), g.n, budget)
+        groups = [[v for v, c in enumerate(colors) if c == k] for k in range(max(colors, default=-1) + 1)]
+    elif mode == "greedy":
+        remaining = (1 << g.n) - 1
+        groups = []
+        while remaining:
+            block = _greedy_clique_mask(g.rows, remaining)
+            groups.append(list(bits(block)))
+            remaining &= ~block
+    else:
         raise ValueError("mode must be 'exact' or 'greedy'")
-    remaining = (1 << g.n) - 1
-    groups = []
-    while remaining:
-        block = _greedy_clique_mask(g.rows, remaining)
-        groups.append(list(bits(block)))
-        remaining &= ~block
-    return VertexPartition(_normalize_blocks(groups), mode="greedy")
+    return VertexPartition(_normalize_blocks(groups), mode=mode)
 
 
 def gated_clique_cover(g: Graph, limit: int | None = None) -> VertexPartition:

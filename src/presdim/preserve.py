@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from .graph import Graph, connected_components, all_pairs_distances
+from .graph import Graph, all_pairs_distances, complement_matrix, connected_components, neighborhood_classes
 from .metric import FiniteMetric, PointSet
 
 __all__ = [
@@ -106,8 +106,7 @@ def _extremes(g: Graph, dists: np.ndarray) -> tuple[float, float, float]:
     """M, m and the supremal level m/M, which is 0 when m = 0 and inf when
     M = 0 or no non-neighbor pair exists."""
     adj = g.matrix
-    nonadj = ~adj
-    np.fill_diagonal(nonadj, False)
+    nonadj = complement_matrix(g)
     big = float(dists[adj].max()) if adj.any() else 0.0
     small = float(dists[nonadj].min()) if nonadj.any() else math.inf
     if small == 0.0:
@@ -196,16 +195,10 @@ def alpha2_feasible(g: Graph) -> bool:
     """True iff every connected component induces a clique.
 
     This characterizes the graphs that still admit preservation at levels
-    >= 2 (one point per component, any tiny threshold).
+    >= 2 (one point per component, any tiny threshold). Neighborhood classes
+    split the components, into one class each exactly when they are cliques.
     """
-    for comp in connected_components(g):
-        mask = 0
-        for v in comp:
-            mask |= 1 << v
-        for v in comp:
-            if (g.closed_row(v) & mask) != mask:
-                return False
-    return True
+    return len(neighborhood_classes(g)) == len(connected_components(g))
 
 
 def measured_distortion(g: Graph, p: PointSet) -> float:

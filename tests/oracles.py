@@ -482,3 +482,187 @@ def frechet_quotient_oracle(g: Graph):
         claimed_dim_bound=linf_dim(h.n),
         source="frechet_quotient",
     )
+
+
+# -- reference searches on packed bit rows ------------------------------------
+# The exact searches as they ran before they read the boolean matrix: vertices
+# relabeled bit by bit, complements built as whole graphs, DSATUR recounting
+# degrees at every step. Tests require the same results and node counts.
+
+
+def _bit_list(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if (mask >> v) & 1]
+
+
+def _greedy_clique_rows(rows, cand: int) -> int:
+    clique = 0
+    while cand:
+        best_v, best_d = -1, -1
+        for v in _bit_list(cand):
+            d = (rows[v] & cand).bit_count()
+            if d > best_d:
+                best_v, best_d = v, d
+        clique |= 1 << best_v
+        cand &= rows[best_v]
+    return clique
+
+
+def max_clique_nodes_oracle(g: Graph) -> tuple[int, int]:
+    """(clique number, branch-and-bound nodes) of the greedy-coloring bounded
+    max-clique search, its vertices sorted by (-degree, index) and each bit
+    row relabeled one bit at a time."""
+    n, rows = g.n, g.rows
+    if n == 0:
+        return 0, 0
+    order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
+    back = [0] * n
+    for i, v in enumerate(order):
+        back[v] = i
+    rr = [0] * n
+    for v in range(n):
+        row = 0
+        for u in _bit_list(rows[v]):
+            row |= 1 << back[u]
+        rr[back[v]] = row
+    best = _greedy_clique_rows(rr, (1 << n) - 1).bit_count()
+    nodes = 0
+
+    def expand(size: int, cand: int) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        stack = []
+        rest, c = cand, 0
+        while rest:
+            c += 1
+            q = rest
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
+                stack.append((v, c))
+                rest ^= low
+                q &= ~rr[v]
+                q ^= low
+        for v, col in reversed(stack):
+            if size + col <= best:
+                return
+            newcand = cand & rr[v]
+            if newcand:
+                expand(size + 1, newcand)
+            elif size + 1 > best:
+                best = size + 1
+            cand &= ~(1 << v)
+
+    expand(0, (1 << n) - 1)
+    return best, nodes
+
+
+def complement_graph_oracle(g: Graph) -> Graph:
+    """The complement as a validated Graph, built from the bit rows."""
+    full = (1 << g.n) - 1
+    return Graph(g.n, tuple((full ^ g.rows[v]) & ~(1 << v) for v in range(g.n)))
+
+
+def independence_nodes_oracle(g: Graph) -> tuple[int, int]:
+    return max_clique_nodes_oracle(complement_graph_oracle(g))
+
+
+def _dsatur_pick_oracle(rows, colors, sat) -> int:
+    v, key = -1, (-1, -1, 0)
+    for u in range(len(rows)):
+        if colors[u] == -1:
+            k = (sat[u].bit_count(), rows[u].bit_count(), -u)
+            if k > key:
+                key, v = k, u
+    return v
+
+
+def _coloring_oracle(rows) -> list[int]:
+    """Optimal coloring by DSATUR-ordered branch and bound, seeded with the
+    DSATUR greedy and a greedy clique; no node budget."""
+    n = len(rows)
+    if n == 0:
+        return []
+    colors, sat = [-1] * n, [0] * n
+    for _ in range(n):
+        v = _dsatur_pick_oracle(rows, colors, sat)
+        c = 0
+        while (sat[v] >> c) & 1:
+            c += 1
+        colors[v] = c
+        for u in _bit_list(rows[v]):
+            sat[u] |= 1 << c
+    best, best_k = colors, max(colors) + 1
+    clique = _bit_list(_greedy_clique_rows(rows, (1 << n) - 1))
+    if best_k == len(clique):
+        return best
+    colors, sat = [-1] * n, [0] * n
+    for c, v in enumerate(clique):
+        colors[v] = c
+        for u in _bit_list(rows[v]):
+            sat[u] |= 1 << c
+
+    def bnb(colored: int, used: int) -> bool:
+        nonlocal best, best_k
+        if used >= best_k:
+            return False
+        if colored == n:
+            best, best_k = colors[:], used
+            return best_k == len(clique)
+        v = _dsatur_pick_oracle(rows, colors, sat)
+        for c in range(used + (1 if used < best_k - 1 else 0)):
+            if (sat[v] >> c) & 1:
+                continue
+            colors[v] = c
+            touched = [u for u in _bit_list(rows[v]) if colors[u] == -1 and not (sat[u] >> c) & 1]
+            for u in touched:
+                sat[u] |= 1 << c
+            done = bnb(colored + 1, max(used, c + 1))
+            for u in touched:
+                sat[u] &= ~(1 << c)
+            colors[v] = -1
+            if done:
+                return True
+        return False
+
+    bnb(len(clique), len(clique))
+    return best
+
+
+def clique_cover_oracle(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Blocks of the minimum clique partition, as an optimal coloring of the
+    complement Graph, sorted and ordered by their minimum member."""
+    colors = _coloring_oracle(complement_graph_oracle(g).rows)
+    groups = [tuple(v for v in range(g.n) if colors[v] == c) for c in range(max(colors, default=-1) + 1)]
+    return tuple(sorted((b for b in groups if b), key=lambda b: b[0]))
+
+
+def packing_number_oracle(dist: np.ndarray, subset, eps: float) -> int:
+    """Largest eps-separated subset as the clique number of the Graph whose
+    edges join points at distance >= eps."""
+    edges = [(i, j) for i, j in itertools.combinations(range(len(subset)), 2)
+             if dist[subset[i], subset[j]] >= eps]
+    rows = [0] * len(subset)
+    for i, j in edges:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return max_clique_nodes_oracle(Graph(len(subset), tuple(rows)))[0]
+
+
+def alpha2_feasible_oracle(g: Graph) -> bool:
+    """Every connected component's bit mask lies in the closed neighborhood
+    of each of its vertices."""
+    seen = 0
+    for s in range(g.n):
+        if (seen >> s) & 1:
+            continue
+        comp = frontier = 1 << s
+        while frontier:
+            nxt = 0
+            for v in _bit_list(frontier):
+                nxt |= g.rows[v]
+            frontier = nxt & ~comp
+            comp |= nxt
+        seen |= comp
+        if any((g.closed_row(v) & comp) != comp for v in _bit_list(comp)):
+            return False
+    return True

@@ -280,3 +280,14 @@ def test_doubling_rejects_misshapen_input(tmp_path, flag, text):
     path = tmp_path / "input.txt"
     path.write_text(text)
     assert main(["doubling", flag, str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["2 1 2\n0\n1\n2\n", "2 2 2\n1 2 3 4\n"],
+    ids=["extra-point-row", "tokens-of-two-rows-on-one"],
+)
+def test_doubling_rejects_points_off_their_header(tmp_path, text):
+    path = tmp_path / "points.txt"
+    path.write_text(text)
+    assert main(["doubling", "--points", str(path)]) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -127,3 +128,34 @@ def test_parse_config(tmp_path):
     bad.write_text("family gnp\n")
     with pytest.raises(ValueError):
         parse_config(str(bad))
+
+
+# (result, SHA-256 of its results_to_json) for every Monte Carlo kind, with
+# clamped and unclamped bounds, and planted levels below 1, in (1, 2) and >= 2.
+GOLDEN_MC = [
+    (lambda: mc_diameter2(2, 0.5, 4, seed=1),
+     "16f40580d1852e62d808648e7e68992049aa9751f628647763d927d480970722"),
+    (lambda: mc_diameter2(30, 0.6, 6, seed=2),
+     "1124a49402c5a9a7dfcb048027437601635460c82ccb3341196989e289b87f62"),
+    (lambda: mc_clique_number(4, 6, seed=3),
+     "dd6d6be8dfd7452fad13b51413243e8d59ea17904da2a76ea2317431f6d3796d"),
+    (lambda: mc_clique_number(40, 6, seed=4),
+     "234176ea47ab0dce9747e7a0bd24b073d9e30ae74b1b806d61e39ffffbef8b55"),
+    (lambda: mc_theorem2(20, 1.0, 4, seed=5),
+     "387f7d948e03b7a90dfebb5ba88c91715fce77a6654f682b7313ce92f4fd5d9f"),
+    (lambda: mc_theorem2(90, 0.5, 3, seed=6),
+     "9959c9634f1bf2fa8ec6da3357758c9881475c3bdde03faec33cb16250941be1"),
+    (lambda: mc_planted(24, 4, 0.9, 0.2, 1.5, 4, seed=7),
+     "d56768916d317e24c816fe4855a8e4ffcd38cb4ccfe582d235e216d3971f5fdc"),
+    (lambda: mc_planted(120, 2, 0.5, 0.5, 1.2, 2, seed=8),
+     "83e14883c713840670dfaf299e3d054dc15ffe7e0b0ed720069ead88a04c67ef"),
+    (lambda: mc_planted(12, 3, 1.0, 0.0, 2.5, 3, seed=9),
+     "a81815c9d7390fff8db338d472ab7afa5f85e5cbf75304312454aa6a81a89a15"),
+    (lambda: mc_planted(16, 2, 0.8, 0.3, 0.5, 3, seed=10),
+     "259b72bd69e129322227be9746b315ae9ad4e8013435d745f99138205d49589e"),
+]
+
+
+def test_monte_carlo_output_is_pinned():
+    for i, (run, digest) in enumerate(GOLDEN_MC):
+        assert hashlib.sha256(results_to_json([run()]).encode()).hexdigest() == digest, i
