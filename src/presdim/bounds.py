@@ -3,11 +3,17 @@ into per-graph reports.
 
 Lower bounds scan candidate vertex subsets (connected components, small BFS
 balls, user-supplied sets): any connected subset yields a valid bound, so the
-heuristic subset pool is sound, merely possibly loose. Upper bounds evaluate
-the ceiling rules of ``construct.CONSTRUCTIONS`` on the graph's level-free
-``construct.GraphFacts``, and a report can
-cross-validate each constructive bound by building the embedding from the
-same table row and certifying it.
+heuristic subset pool is sound, merely possibly loose. The level-free subset
+profile holds only the undominated candidates. A subset inside an already
+profiled one with an exactly computed floor, of no smaller diameter and with
+a floor provably no larger, cannot raise either bound at any level; its
+exact search is skipped, and the maxima over the profile equal those over
+every candidate.
+
+Upper bounds evaluate the ceiling rules of ``construct.CONSTRUCTIONS`` on the
+graph's level-free ``construct.GraphFacts``, and a report can cross-validate
+each constructive bound by building the embedding from the same table row
+and certifying it.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .graph import Graph, ball_matrices, connected_components, diameter
 from .partition import (
     SearchBudgetExceeded,
     clique_cover,
+    greedy_clique,
     greedy_coloring_size,
     independence_number,
     neighborhood_class_count,
@@ -102,18 +109,33 @@ def _candidate_subsets(g: Graph, extra: Sequence[Sequence[int]] | None) -> list[
     return out
 
 
-def _partition_floor(sub: Graph, limits: Limits) -> float:
+def _partition_floor(sub: Graph, limits: Limits) -> tuple[float, bool]:
     """A certified lower bound on the minimum clique-partition size of the
     induced subgraph ``sub``: exact when small, else max of an independent
-    set and |U| divided by a coloring upper bound on the clique number."""
+    set and |U| divided by a coloring upper bound on the clique number.
+    Also says whether the floor is exact: the exact cover or an exact
+    independence number, not the greedy one a spent search budget falls
+    back to."""
     if sub.n <= limits.exact_cover:
-        return float(clique_cover(sub, mode="exact").size)
+        return float(clique_cover(sub, mode="exact").size), True
     try:
-        iota = independence_number(sub, mode="exact", budget=limits.clique_budget)
+        iota, exact = independence_number(sub, mode="exact", budget=limits.clique_budget), True
     except SearchBudgetExceeded:
-        iota = independence_number(sub, mode="greedy")
+        iota, exact = independence_number(sub, mode="greedy"), False
     kappa_upper = max(greedy_coloring_size(sub), 1)
-    return float(max(iota, sub.n / kappa_upper))
+    return float(max(iota, sub.n / kappa_upper)), exact
+
+
+def _floor_at_most(sub: Graph, bar: float, limits: Limits) -> bool:
+    """Whether ``_partition_floor(sub)`` is provably at most ``bar``, the
+    exact floor of a superset, without an exact search. That floor is at
+    least the superset's independence number, so at least any independent
+    set of ``sub``; the greedy cover bounds the exact one, and the greedy
+    clique, a lower bound on the clique number, caps the |U|/DSATUR term
+    before DSATUR runs."""
+    if sub.n <= limits.exact_cover:
+        return clique_cover(sub, mode="greedy").size <= bar
+    return sub.n / len(greedy_clique(sub)) <= bar or sub.n / greedy_coloring_size(sub) <= bar
 
 
 def subset_profile(
@@ -121,15 +143,32 @@ def subset_profile(
     subsets: Sequence[Sequence[int]] | None = None,
     limits: Limits = DEFAULT_LIMITS,
 ) -> list[tuple[float, float, int]]:
-    """The level-free part of both lower bounds: ``(diam, partition_floor, class_count)``
-    per connected candidate subset U with diam(G|U) >= 1, each induced once."""
+    """The level-free part of both lower bounds: ``(diam, partition_floor,
+    class_count)`` per undominated connected candidate subset U with
+    diam(G|U) >= 1, each candidate induced once.
+
+    Candidates are taken largest first. U is skipped when an entry V with an
+    exact floor already holds it, has diameter at most diam(G|U), and
+    provably has floor(U) <= floor(V): the class count only grows with the
+    subset, so U's terms are at most V's at every level in (0, 2). The
+    ``profile_lower`` maxima are those over every candidate; only the number
+    of entries falls.
+    """
     profile = []
-    for subset in _candidate_subsets(g, subsets):
+    exact_entries: list[tuple[int, float, float]] = []  # (vertex mask, diam, floor)
+    for subset in sorted(_candidate_subsets(g, subsets), key=len, reverse=True):
         sub = g.induced(subset)
         diam = diameter(sub)
-        if math.isfinite(diam) and diam >= 1:
-            floor = _partition_floor(sub, limits)
-            profile.append((diam, floor, neighborhood_class_count(g, subset)))
+        if not (math.isfinite(diam) and diam >= 1):
+            continue
+        mask = sum(1 << v for v in subset)
+        bars = [floor for held, d, floor in exact_entries if mask & ~held == 0 and d <= diam]
+        if bars and _floor_at_most(sub, max(bars), limits):
+            continue
+        floor, exact = _partition_floor(sub, limits)
+        profile.append((diam, floor, neighborhood_class_count(g, subset)))
+        if exact:
+            exact_entries.append((mask, diam, floor))
     return profile
 
 

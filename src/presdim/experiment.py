@@ -210,7 +210,7 @@ def mc_planted(
     }
     if 0 < alpha < 2:
         extras["planted_lower_formula"] = formulas.get("planted_lower")
-    if alpha > 1:
+    if 1 < alpha < 2:
         extras["planted_recovery_formula"] = formulas.get("planted_recovery_lower")
     return MCResult(
         name="planted",

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: exhaustive enumeration over set
 partitions, vertex subsets, center combinations, and vertex bijections.
-None of it shares code paths with the library's search routines.
+None of it shares code paths with the library's search routines, except
+``subset_profile_oracle``, which replays the unpruned subset loop over the
+library's own per-subset quantities.
 """
 
 from __future__ import annotations
@@ -15,8 +17,11 @@ import math
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
-from presdim.graph import Graph, rng_for
+from presdim import bounds
+from presdim.config import DEFAULT_LIMITS
+from presdim.graph import Graph, diameter, rng_for
 from presdim.metric import PointSet
+from presdim.partition import neighborhood_class_count
 
 
 def set_partitions(items: list[int]):
@@ -666,3 +671,18 @@ def alpha2_feasible_oracle(g: Graph) -> bool:
         if any((g.closed_row(v) & comp) != comp for v in _bit_list(comp)):
             return False
     return True
+
+
+def subset_profile_oracle(g: Graph, subsets=None, limits=DEFAULT_LIMITS) -> list[tuple]:
+    """``bounds.subset_profile`` without dominance pruning: one entry per
+    connected candidate of diameter >= 1, in candidate order. It shares the
+    candidates and the per-subset floor with the library on purpose, so that
+    a mismatch can only come from the pruning."""
+    profile = []
+    for subset in bounds._candidate_subsets(g, subsets):
+        sub = g.induced(subset)
+        diam = diameter(sub)
+        if math.isfinite(diam) and diam >= 1:
+            floor = bounds._partition_floor(sub, limits)[0]
+            profile.append((diam, floor, neighborhood_class_count(g, subset)))
+    return profile

@@ -3,6 +3,8 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from presdim import bounds, construct, experiment, graph, partition
 from presdim.bounds import (
@@ -12,6 +14,7 @@ from presdim.bounds import (
     format_report,
     lower_clique_partition,
     lower_neighborhood,
+    profile_lower,
     regular_diameter_bound,
     report,
     report_to_json,
@@ -33,7 +36,7 @@ from presdim.graph import (
 )
 from presdim.partition import clique_cover, neighborhood_class_count
 
-from oracles import random_graph
+from oracles import random_graph, subset_profile_oracle
 
 
 def test_lower_clique_partition_star100():
@@ -260,6 +263,49 @@ def test_report_and_sweep_enumerate_the_candidates_once(monkeypatch):
     enumerations.clear()
     sweep({"family": "gnp", "n": 30, "trials": 2, "alpha_grid": "0.6,0.8,1.2,1.5,1.8"})
     assert len(enumerations) == 2  # one per trial
+
+
+# The tight limits make exact independence searches run out of budget, so the
+# greedy fallback fires; an entry with such a floor must prune nothing. The
+# examples are graphs on which pruning by a fallback floor (first) or without
+# the floor test (second) changes the bounds.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 40),
+    p=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+    subsets=st.lists(st.lists(st.integers(0, 39), min_size=1, max_size=40), max_size=4),
+    levels=st.lists(st.floats(0, 2, exclude_min=True, exclude_max=True), min_size=1, max_size=6),
+)
+@example(n=16, p=0.36, seed=6, subsets=[], levels=[0.5, 1.5])
+@example(n=21, p=0.85, seed=28, subsets=[], levels=[0.5, 1.5])
+def test_pruned_profile_gives_the_unpruned_lower_bounds(n, p, seed, subsets, levels):
+    g = random_graph(n, p, np.random.default_rng(seed))
+    subsets = [[v % n for v in subset] for subset in subsets]
+    tight = (Limits(exact_cover=4, clique_budget=30), Limits(exact_cover=0, clique_budget=5))
+    for limits in (Limits(), *tight):
+        pruned = bounds.subset_profile(g, subsets, limits)
+        full = subset_profile_oracle(g, subsets, limits)
+        for alpha in levels:
+            assert profile_lower(pruned, alpha) == profile_lower(full, alpha), (limits, alpha)
+
+
+def test_profile_skips_the_candidates_the_component_dominates(monkeypatch):
+    searches, search = [], bounds.independence_number
+
+    def counting(sub, mode="exact", budget=None):
+        if mode == "exact":
+            searches.append(sub.n)
+        return search(sub, mode=mode, budget=budget)
+
+    monkeypatch.setattr(bounds, "independence_number", counting)
+    for g in [gen_gnp(60, 0.5, seed) for seed in range(8)] + [gen_named("two_cliques_matched", 60)]:
+        searches.clear()
+        assert len(bounds.subset_profile(g)) == 1
+        assert searches == [60]  # the component's; 60 or 61 without the pruning
+    searches.clear()
+    bounds.subset_profile(gen_gnp(100, 0.1, 0))
+    assert searches == [100]
 
 
 def test_report_lower_bounds_match_the_public_functions():

@@ -150,7 +150,7 @@ GOLDEN_MC = [
     (lambda: mc_planted(120, 2, 0.5, 0.5, 1.2, 2, seed=8),
      "83e14883c713840670dfaf299e3d054dc15ffe7e0b0ed720069ead88a04c67ef"),
     (lambda: mc_planted(12, 3, 1.0, 0.0, 2.5, 3, seed=9),
-     "a81815c9d7390fff8db338d472ab7afa5f85e5cbf75304312454aa6a81a89a15"),
+     "7f9f7b626e7213a64d35169f769383027c1e8a02903c9a7b75923adb5dd41a0b"),
     (lambda: mc_planted(16, 2, 0.8, 0.3, 0.5, 3, seed=10),
      "259b72bd69e129322227be9746b315ae9ad4e8013435d745f99138205d49589e"),
 ]
@@ -159,3 +159,11 @@ GOLDEN_MC = [
 def test_monte_carlo_output_is_pinned():
     for i, (run, digest) in enumerate(GOLDEN_MC):
         assert hashlib.sha256(results_to_json([run()]).encode()).hexdigest() == digest, i
+
+
+def test_planted_recovery_formula_only_where_it_is_stated():
+    # theorem_formulas states planted_recovery_lower for 1 < alpha < 2 only.
+    for alpha, stated in ((0.5, False), (1.5, True), (2.5, False)):
+        extras = mc_planted(12, 3, 1.0, 0.0, alpha, 1, seed=9).extras
+        assert ("planted_recovery_formula" in extras) == stated
+        assert None not in extras.values()
