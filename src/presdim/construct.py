@@ -282,6 +282,14 @@ def sphere_packing_l2(
     d = ceil(4 log(n+1) / (2 - (2 eps/r)^2)); fresh sample batches are drawn
     until the packing is complete or the budget runs out. Deterministic
     given the seed.
+
+    Samples are taken in order, each kept when it lies at least eps from
+    every point kept before it. A batch is tested against one kept point
+    at a time, each test on the rows that passed the ones before it; after
+    each new keeper only the rows behind it are re-tested, against that
+    keeper alone. Each test is the norm of a difference row, so the points
+    kept are those of a row-by-row loop over
+    ``np.linalg.norm(kept - row, axis=1)``.
     """
     if not 0 < eps < r:
         raise ValueError("need 0 < eps < r")
@@ -294,21 +302,25 @@ def sphere_packing_l2(
     for attempt in range(attempts):
         rng = rng_for(seed, attempt)
         drawn = 0
-        while drawn < samples_per_attempt and kept.shape[0] < n:
+        while drawn < samples_per_attempt and len(kept) < n:
             batch = rng.standard_normal((min(chunk, samples_per_attempt - drawn), d))
             drawn += batch.shape[0]
             batch /= np.linalg.norm(batch, axis=1, keepdims=True)
             batch *= radius
-            for row in batch:
-                if kept.shape[0] == 0 or np.linalg.norm(kept - row, axis=1).min() >= eps:
-                    kept = np.vstack([kept, row[None, :]])
-                    if kept.shape[0] == n:
-                        break
-        if kept.shape[0] == n:
+            alive = np.arange(len(batch))
+            for point in kept:
+                alive = alive[np.linalg.norm(point - batch[alive], axis=1) >= eps]
+            far = np.zeros(len(batch), dtype=bool)
+            far[alive] = True
+            start = 0
+            while len(kept) < n and (hits := np.flatnonzero(far[start:])).size:
+                i = start + int(hits[0])
+                kept = np.vstack([kept, batch[i]])
+                start = i + 1
+                far[start:] &= np.linalg.norm(batch[i] - batch[start:], axis=1) >= eps
+        if len(kept) == n:
             return PointSet(kept, norm=2.0)
-    raise GenerationError(
-        f"sphere packing reached {kept.shape[0]}/{n} points within budget"
-    )
+    raise GenerationError(f"sphere packing reached {len(kept)}/{n} points within budget")
 
 
 def ball_collapse_l2(
@@ -699,6 +711,8 @@ def result_from_json(text: str) -> EmbeddingResult:
             target = FiniteMetric(
                 np.array(doc["distance_matrix"]), pseudo=bool(doc.get("pseudo", False))
             )
+            if not np.isfinite(target.dist).all():
+                raise ValueError("malformed embedding document: distances must be finite")
             bad = validate_entries(target.dist)
             if bad is not None:
                 raise ValueError(

@@ -196,19 +196,32 @@ def validate_metric(m: FiniteMetric) -> MetricViolation | None:
 # -- covering numbers ----------------------------------------------------------
 
 
-def _greedy_cover(universe: int, sets: list[int]) -> int:
+def _greedy_cover(universe: int, sets: list[int], cap: int | None = None) -> int:
+    """Max-coverage greedy set cover, ties to the lowest index.
+
+    With ``cap``, stop once ``count + |left| <= cap``: every later pick
+    covers at least one point, so the full count is at most that sum, which
+    is returned. The result is the full count whenever it exceeds ``cap``
+    and some value ``<= cap`` otherwise.
+    """
+    stop = -1 if cap is None else cap
     count = 0
     left = universe
     while left:
-        best, best_gain = -1, 0
-        for i, s in enumerate(sets):
-            gain = (s & left).bit_count()
-            if gain > best_gain:
-                best, best_gain = i, gain
+        if count + left.bit_count() <= stop:
+            return count + left.bit_count()
+        best, best_gain = 0, 0
+        live = []  # a set that misses ``left`` never meets it again
+        for s in sets:
+            if gain := (s & left).bit_count():
+                live.append(s)
+                if gain > best_gain:
+                    best, best_gain = s, gain
         if best_gain == 0:
             raise ValueError("subset cannot be covered at this radius")
-        left &= ~sets[best]
+        left &= ~best
         count += 1
+        sets = live
     return count
 
 
@@ -325,20 +338,37 @@ def doubling_dimension(
 ) -> int:
     """Smallest d such that every open ball is covered by <= 2^d half-radius balls.
 
-    Radii are scanned over all pairwise distances and tiny upward
-    perturbations of each; ball contents only change at those thresholds.
-    Returns ceil(log2) of the worst cover size.
+    Radii are scanned in ascending order over all pairwise distances and
+    tiny upward perturbations of each; ball contents only change at those
+    thresholds.
+    Returns ceil(log2) of ``worst``, the largest cover size found.
 
     The masks of ``d < t`` depend on t only through its threshold class,
-    the number of entries of d below t. Radii ascend, so each class of r
-    and of r/2 comes up in one unbroken run: ball and half-ball masks are
-    built once per class, and each distinct ball is covered once per
-    half-radius class. Each cache is dropped when its class ends, so the
-    covers held are those of one half-radius class: at most the n balls it
-    starts with plus one per ball that changes within it. Mask bits are
-    point indices, a monotone relabeling of positions within the ball, so
-    ``_min_cover`` branches and ``_greedy_cover`` breaks ties exactly as on
-    subset-relative masks.
+    the number of entries of d below t, so one stable sort of d and one
+    ``searchsorted`` give the class of every radius r and half-radius r/2.
+    Radii ascend, so both classes only grow: each ball (row of ``d < r``)
+    and center (row of ``d < r/2``) bitmask grows by OR-ing in the pairs
+    that enter its class. A radius whose two classes both repeat is
+    skipped. No cover work is done that cannot raise ``worst``:
+
+    - a row is revisited only when its ball gained a point, or, in greedy
+      mode, when a center gained a point inside that ball (a cover depends
+      only on the ball and on each center restricted to it);
+    - covers are capped at ``worst`` (``_greedy_cover``'s ``cap``), and a
+      ball of at most ``worst`` points is never covered;
+    - exact mode runs ``_min_cover`` only when the capped greedy cover
+      exceeds ``worst`` (exact <= greedy), and only at the last radius of
+      each half-radius class. An exact cover never shrinks as its ball
+      grows and never grows as its centers grow, so the balls of that
+      radius, which contain the earlier ones, bound every cover of the
+      class, and a ball that did not grow cannot raise ``worst``. Greedy
+      covers are monotone in neither, so greedy mode visits every class
+      pair and every ball whose centers grew inside it.
+
+    Each distinct ball is covered at most once per half-radius class. Mask
+    bits are point indices, a monotone relabeling of positions within the
+    ball, so ``_min_cover`` branches and ``_greedy_cover`` breaks ties
+    exactly as on subset-relative masks.
     """
     if m.n == 0:
         raise ValueError("doubling dimension of an empty space is undefined")
@@ -346,28 +376,59 @@ def doubling_dimension(
         raise ValueError(f"exact doubling limited to n <= {limit}, got {m.n}")
     if mode not in ("exact", "greedy"):
         raise ValueError("mode must be 'exact' or 'greedy'")
-    d = m.dist
-    positive = sorted({float(x) for x in d[np.triu_indices(m.n, k=1)] if x > 0})
-    radii: list[float] = []
-    for r in positive:
-        radii.append(r)
-        radii.append(r * (1 + 1e-9))
-    solve = _min_cover if mode == "exact" else _greedy_cover
-    values = np.sort(d, axis=None)  # np.unique would import numpy.ma: +1.1 MB resident
-    ball_class = half_class = -1
+    n, d = m.n, m.dist
+    # Distinct positive distances by sort and diff (np.unique would import
+    # numpy.ma: +1.1 MB resident).
+    upper = np.sort(d[np.triu_indices(n, k=1)])
+    upper = upper[upper > 0]
+    fresh = np.ones(upper.size, dtype=bool)
+    fresh[1:] = upper[1:] != upper[:-1]
+    positive = upper[fresh]
+    radii = np.empty(2 * positive.size)
+    radii[0::2] = positive
+    radii[1::2] = positive * (1 + 1e-9)
+    # A distance within a relative 1e-9 above another lies below the
+    # other's perturbation: sort, or the classes would not ascend.
+    radii.sort()
+    order = np.argsort(d, axis=None, kind="stable")
+    values = d.ravel()[order]
+    ball_cls = np.searchsorted(values, radii)
+    half_cls = np.searchsorted(values, radii / 2)
+    # Visit the last radius of each run of equal classes: of equal half
+    # classes in exact mode, of equal (ball, half) pairs in greedy mode.
+    last = np.ones(radii.size, dtype=bool)
+    last[:-1] = half_cls[1:] != half_cls[:-1]
+    if mode == "greedy":
+        last[:-1] |= ball_cls[1:] != ball_cls[:-1]
+    rows, cols = (a.tolist() for a in np.divmod(order, n))
+    bit = [1 << j for j in range(n)]
+    balls, centers = [0] * n, [0] * n
+    covers: dict[int, int] = {}
+    ball_class = half_class = 0
     worst = 1
-    for r in radii:
-        half = r / 2
-        if (c := int(np.searchsorted(values, half))) != half_class:
-            half_class, centers, covers = c, _row_masks(d < half), {}
-        if (c := int(np.searchsorted(values, r))) != ball_class:
-            ball_class, balls = c, _row_masks(d < r)
-        for ball in balls:
+    for bc, hc in zip(ball_cls[last].tolist(), half_cls[last].tolist()):
+        grown = 0  # points some center gained
+        if hc != half_class:
+            for k in range(half_class, hc):
+                centers[rows[k]] |= bit[cols[k]]
+                grown |= bit[cols[k]]
+            half_class, covers = hc, {}
+        todo = {x for x in range(n) if balls[x] & grown} if mode == "greedy" else set()
+        if bc != ball_class:
+            for k in range(ball_class, bc):
+                balls[rows[k]] |= bit[cols[k]]
+            todo.update(rows[ball_class:bc])
+            ball_class = bc
+        for x in sorted(todo):
+            ball = balls[x]
             if ball.bit_count() <= worst:
                 continue
-            if ball not in covers:
-                covers[ball] = solve(ball, centers)
-            worst = max(worst, covers[ball])
+            if (cover := covers.get(ball)) is None:
+                cover = _greedy_cover(ball, centers, worst)
+                if mode == "exact" and cover > worst:
+                    cover = _min_cover(ball, centers)
+                covers[ball] = cover
+            worst = max(worst, cover)
     return (worst - 1).bit_length()
 
 

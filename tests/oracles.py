@@ -4,7 +4,9 @@ Everything here is deliberately naive: exhaustive enumeration over set
 partitions, vertex subsets, center combinations, and vertex bijections.
 None of it shares code paths with the library's search routines, except
 ``subset_profile_oracle``, which replays the unpruned subset loop over the
-library's own per-subset quantities.
+library's own per-subset quantities, and ``doubling_dimension_class_cached``,
+which covers balls with the library's exact ``_min_cover`` (itself pinned
+against ``covering_number_brute``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from scipy.sparse.csgraph import shortest_path
 from presdim import bounds
 from presdim.config import DEFAULT_LIMITS
 from presdim.graph import Graph, diameter, rng_for
-from presdim.metric import PointSet
+from presdim.metric import PointSet, _min_cover, _row_masks
 from presdim.partition import neighborhood_class_count
 
 
@@ -183,6 +185,70 @@ def doubling_dimension_greedy_seed(dist: np.ndarray) -> int:
                 continue
             worst = max(worst, covering_number_greedy_seed(dist, ball, half))
     return (worst - 1).bit_length()
+
+
+def doubling_dimension_class_cached(dist: np.ndarray, mode: str = "exact") -> int:
+    """``doubling_dimension`` as written when its masks were first built once
+    per threshold class: ball and half-ball masks are rebuilt from ``d < t``
+    whenever the class of r or r/2 changes, every ball larger than the
+    running maximum is looked up at every radius, and each distinct ball is
+    covered in full once per half-radius class. Greedy covers use
+    ``_greedy_cover_seed``; exact ones the library's ``_min_cover``."""
+    d = dist
+    n = d.shape[0]
+    positive = sorted({float(x) for x in d[np.triu_indices(n, k=1)] if x > 0})
+    radii: list[float] = []
+    for r in positive:
+        radii.append(r)
+        radii.append(r * (1 + 1e-9))
+    solve = _min_cover if mode == "exact" else _greedy_cover_seed
+    values = np.sort(d, axis=None)
+    ball_class = half_class = -1
+    worst = 1
+    for r in radii:
+        half = r / 2
+        if (c := int(np.searchsorted(values, half))) != half_class:
+            half_class, centers, covers = c, _row_masks(d < half), {}
+        if (c := int(np.searchsorted(values, r))) != ball_class:
+            ball_class, balls = c, _row_masks(d < r)
+        for ball in balls:
+            if ball.bit_count() <= worst:
+                continue
+            if ball not in covers:
+                covers[ball] = solve(ball, centers)
+            worst = max(worst, covers[ball])
+    return (worst - 1).bit_length()
+
+
+def sphere_packing_l2_seed(n: int, r: float, eps: float, seed: int, attempts: int = 10,
+                           samples_per_attempt: int = 100_000) -> np.ndarray | None:
+    """The points of ``sphere_packing_l2`` as first written: each sample is
+    tested against the kept points one row at a time and appended with
+    ``np.vstack``. None where the budget runs out."""
+    from presdim.construct import packing_dim
+
+    d = packing_dim(n, r, eps)
+    if n == 1:
+        return np.zeros((1, d))
+    radius = (r / 2.0) * (1.0 - 1e-9)
+    kept = np.empty((0, d))
+    chunk = 1024
+    for attempt in range(attempts):
+        rng = rng_for(seed, attempt)
+        drawn = 0
+        while drawn < samples_per_attempt and kept.shape[0] < n:
+            batch = rng.standard_normal((min(chunk, samples_per_attempt - drawn), d))
+            drawn += batch.shape[0]
+            batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+            batch *= radius
+            for row in batch:
+                if kept.shape[0] == 0 or np.linalg.norm(kept - row, axis=1).min() >= eps:
+                    kept = np.vstack([kept, row[None, :]])
+                    if kept.shape[0] == n:
+                        break
+        if kept.shape[0] == n:
+            return kept
+    return None
 
 
 def digest_oracle(g: Graph) -> str:

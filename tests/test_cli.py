@@ -135,12 +135,14 @@ def _set_distances(value, *cells):
         (_set_distances(-1.0, (0, 1), (1, 0)), "1.5"),
         (_set_distances(0.5, (2, 2)), "1.5"),
         (_set_distances(math.nan, (0, 1), (1, 0)), "1.5"),
+        (_set_distances(math.inf, (0, 3), (3, 0)), "1.5"),
         (lambda doc: doc.update(points=[[math.nan], [1.0], [2.0], [3.0]], norm=2), "1.5"),
         (lambda doc: None, "nan"),
     ],
     ids=[
         "negative", "out-of-range", "fractional", "missing-r", "asymmetric-distance",
-        "negative-distance", "nonzero-diagonal", "nan-distance", "nan-point", "nan-level",
+        "negative-distance", "nonzero-diagonal", "nan-distance", "inf-distance", "nan-point",
+        "nan-level",
     ],
 )
 def test_verify_rejects_malformed_embedding(tmp_path, edit, alpha):
@@ -163,10 +165,14 @@ def test_verify_rejects_malformed_embedding(tmp_path, edit, alpha):
         ("--metric", "3\n0 1 2\n1 0 1\n3 1 0\n"),
         ("--points", "3 1 2\n0\n1\nnan\n"),
         ("--points", "3 1 2\n0\n1\ninf\n"),
+        ("--embedding", json.dumps({
+            "distance_matrix": [[0, 1, math.inf], [1, 0, 1], [math.inf, 1, 0]], "vertex_map": [0, 1, 2],
+            "alpha_interval": [0, 1], "r": 1, "dim_bound": 2, "source": "spm",
+        })),
     ],
     ids=[
         "nan-distance", "inf-distance", "negative-distance", "asymmetric-distance",
-        "nan-point", "inf-point",
+        "nan-point", "inf-point", "inf-embedding-distance",
     ],
 )
 def test_doubling_rejects_malformed_input(tmp_path, flag, text):

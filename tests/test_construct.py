@@ -37,7 +37,7 @@ from presdim.config import DEFAULT_LIMITS
 from presdim.metric import FiniteMetric, PointSet, validate_metric
 from presdim.preserve import alpha_max, check
 
-from oracles import random_graph, result_to_json_oracle
+from oracles import random_graph, result_to_json_oracle, sphere_packing_l2_seed
 
 
 def _passes_claims(g, emb: EmbeddingResult) -> bool:
@@ -202,6 +202,19 @@ def test_sphere_packing_domain():
         sphere_packing_l2(5, 1.0, 0.8, seed=0)  # eps >= r/sqrt(2)
     with pytest.raises(GenerationError):
         sphere_packing_l2(500, 1.0, 0.7, seed=0, attempts=1, samples_per_attempt=600)
+
+
+@pytest.mark.parametrize(
+    "n, r, eps, seed",
+    [
+        (16, 1.0, 0.7, 3), (16, 1.0, 0.7, 4), (12, 1.0, 0.69, 7),
+        (30, 1.0, 0.6, 2), (8, 3.0, 2.0, 5), (10, 2.0, 1.0, 4),
+    ],
+)
+def test_sphere_packing_keeps_the_points_of_the_row_by_row_loop(n, r, eps, seed):
+    expected = sphere_packing_l2_seed(n, r, eps, seed)
+    assert expected is not None
+    assert np.array_equal(sphere_packing_l2(n, r, eps, seed).points, expected)
 
 
 def test_ball_collapse_l2():

@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -27,11 +26,14 @@ from presdim.metric import (
     write_points,
 )
 
+import oracles
 from oracles import (
+    _greedy_cover_seed,
     covering_number_brute,
     covering_number_greedy_seed,
     distance_matrix_oracle,
     doubling_dimension_brute,
+    doubling_dimension_class_cached,
     doubling_dimension_greedy_seed,
     packing_number_brute,
 )
@@ -245,29 +247,109 @@ def test_covering_and_packing_on_tied_metrics_with_unsorted_repeats(d, data):
     assert packing_number(m, sub, eps) == packing_number_brute(d, sub, eps)
 
 
+@st.composite
+def gaussian_metrics(draw, max_n):
+    """Distances of 1 to ``max_n`` Gaussian points in R^1 to R^3 under l2."""
+    n = draw(st.integers(1, max_n))
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return induced_metric(PointSet(rng.standard_normal((n, dim)))).dist
+
+
+# Ten l2 grid points, two pairs repeated, on which a greedy cover grows when
+# its half-radius centers grow inside an unchanged ball: the scan must
+# revisit such balls to reach the greedy value 3.
+CENTER_GROWTH_RAISES_GREEDY = [
+    [4, 4], [4, 4], [2, 1], [2, 3], [0, 0], [4, 0], [0, 1], [1, 0], [2, 1], [1, 4],
+]
+
+
+@st.composite
+def near_tied(draw, base):
+    """``base`` with some off-diagonal pairs set one to four ulps above a
+    positive distance t, and some to half that value: a radius within a
+    relative 1e-9 above t whose half-radius is itself a distance, as in
+    ``NEAR_TIE_BELOW_A_PERTURBATION``."""
+    d = draw(base).copy()
+    n = len(d)
+    positive = sorted(set(d[d > 0].tolist()))
+    if not positive:
+        return d
+    a = draw(st.sampled_from(positive))
+    for _ in range(draw(st.integers(1, 4))):
+        a = np.nextafter(a, np.inf)
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for value in (a, a / 2):
+        for i, j in draw(st.lists(pair, max_size=n)):
+            if i != j:
+                d[i, j] = d[j, i] = value
+    return d
+
+
+# Five l2 points, d(y+, y-) = 1.0000000000000002 one ulp above the unit
+# distances: that radius sorts below 1 * (1 + 1e-9), and its ball around
+# the origin, all five points, needs five singleton centers.
+NEAR_TIE_BELOW_A_PERTURBATION = induced_metric(
+    PointSet(np.array([[0, 0], [1, 0], [-1, 0], [0, 0.5000000000000001], [0, -0.5000000000000001]]))
+).dist
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        gaussian_metrics(20), tied_metrics(), near_tied(gaussian_metrics(20)), near_tied(tied_metrics())
+    )
+)
+@example(induced_metric(PointSet(np.array(CENTER_GROWTH_RAISES_GREEDY, dtype=float))).dist)
+@example(NEAR_TIE_BELOW_A_PERTURBATION)
+def test_greedy_doubling_matches_the_class_cached_scan(d):
+    m = FiniteMetric(d, pseudo=True)
+    assert doubling_dimension(m, mode="greedy") == doubling_dimension_class_cached(d, "greedy")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        gaussian_metrics(12), tied_metrics(), near_tied(gaussian_metrics(12)), near_tied(tied_metrics())
+    )
+)
+@example(NEAR_TIE_BELOW_A_PERTURBATION)
+def test_exact_doubling_matches_the_class_cached_scan(d):
+    m = FiniteMetric(d, pseudo=True)
+    assert doubling_dimension(m) == doubling_dimension_class_cached(d, "exact")
+
+
 def _scan_work(monkeypatch, m, mode):
-    """Run ``doubling_dimension`` with counters on the mask builder and the
-    cover routine; returns the built masks and the covers solved, each as a
-    hashable key, and the largest cover cache seen."""
-    built, solved, cached = [], [], [0]
-    row_masks = metric._row_masks
-    name = "_min_cover" if mode == "exact" else "_greedy_cover"
-    solve = getattr(metric, name)
+    """Run ``doubling_dimension`` with every ``_greedy_cover`` and
+    ``_min_cover`` call of the scan logged as (routine, ball, centers, cap,
+    result); the greedy cover ``_min_cover`` starts from is not logged."""
+    calls = []
+    greedy, exact = metric._greedy_cover, metric._min_cover
+    in_exact = []
 
-    def counting_row_masks(a):
-        built.append(hash(a.tobytes()))
-        return row_masks(a)
+    def logged_greedy(universe, sets, cap=None):
+        out = greedy(universe, sets, cap)
+        if not in_exact:
+            calls.append(("greedy", universe, tuple(sets), cap, out))
+        return out
 
-    def counting_solve(universe, sets):
-        solved.append((universe, hash(tuple(sets))))
-        # the scan's cover cache, read from the calling frame
-        cached[0] = max(cached[0], len(sys._getframe(1).f_locals["covers"]))
-        return solve(universe, sets)
+    def logged_exact(universe, sets):
+        in_exact.append(True)
+        out = exact(universe, sets)
+        in_exact.pop()
+        calls.append(("exact", universe, tuple(sets), None, out))
+        return out
 
-    monkeypatch.setattr(metric, "_row_masks", counting_row_masks)
-    monkeypatch.setattr(metric, name, counting_solve)
-    doubling_dimension(m, mode=mode, limit=m.n)
-    return built, solved, cached[0]
+    monkeypatch.setattr(metric, "_greedy_cover", logged_greedy)
+    monkeypatch.setattr(metric, "_min_cover", logged_exact)
+    return doubling_dimension(m, mode=mode, limit=m.n), calls
+
+
+def _largest_cache(calls):
+    """The most covers the scan held at once: it keeps one per ball and
+    drops them all when the half-radius class, which the centers identify,
+    changes."""
+    return max(Counter(c[2] for c in calls if c[0] == "greedy").values())
 
 
 @pytest.mark.parametrize("mode", ["exact", "greedy"])
@@ -276,25 +358,80 @@ def _scan_work(monkeypatch, m, mode):
     [_uniform(12), induced_metric(PointSet(np.random.default_rng(20).standard_normal((20, 3))))],
     ids=["uniform12", "gauss20"],
 )
-def test_doubling_builds_each_class_once_and_covers_each_ball_once(monkeypatch, m, mode):
-    d = m.dist
-    positive = sorted({float(x) for x in d[np.triu_indices(m.n, k=1)] if x > 0})
-    radii = [t for r in positive for t in (r, r * (1 + 1e-9))]
-    balls = {hash((d < r).tobytes()) for r in radii}
-    halves = {hash((d < r / 2).tobytes()) for r in radii}
-    built, solved, cached = _scan_work(monkeypatch, m, mode)
-    assert solved
-    for key, count in Counter(built).items():
-        assert count <= (key in balls) + (key in halves)
-    assert len(set(solved)) == len(solved)
-    assert cached <= 2 * m.n
+def test_doubling_covers_each_ball_once_and_only_above_the_running_max(monkeypatch, m, mode):
+    expected = doubling_dimension_class_cached(m.dist, mode)
+    value, calls = _scan_work(monkeypatch, m, mode)
+    assert value == expected
+    greedy = [c for c in calls if c[0] == "greedy"]
+    assert greedy
+    # Centers identify the half-radius class: one cover per ball and class.
+    keys = [(ball, centers) for _, ball, centers, _, _ in greedy]
+    assert len(set(keys)) == len(keys)
+    assert _largest_cache(calls) <= 2 * m.n
+    worst = 1
+    for k, (name, ball, centers, cap, out) in enumerate(calls):
+        if name == "greedy":
+            # Capped at the running maximum, and only on a larger ball.
+            assert cap == worst < ball.bit_count()
+            if mode == "greedy":
+                worst = max(worst, out)
+        else:
+            # Only right after a capped greedy cover of the ball above its cap.
+            before = calls[k - 1]
+            assert mode == "exact" and before[:3] == ("greedy", ball, centers)
+            assert before[4] > before[3]
+            worst = max(worst, out)
+    assert (worst - 1).bit_length() == value
 
 
-def test_greedy_doubling_caches_o_n_covers(monkeypatch):
+def test_greedy_doubling_completes_fewer_covers_than_the_class_cached_scan(monkeypatch):
     m = induced_metric(PointSet(np.random.default_rng(60).standard_normal((60, 3))))
-    built, solved, cached = _scan_work(monkeypatch, m, "greedy")
-    assert len(set(solved)) == len(solved)
-    assert 0 < cached <= 2 * m.n
+    seed_covers = []
+
+    def counting_seed(universe, sets):
+        seed_covers.append(universe)
+        return _greedy_cover_seed(universe, sets)
+
+    monkeypatch.setattr(oracles, "_greedy_cover_seed", counting_seed)
+    expected = doubling_dimension_class_cached(m.dist, "greedy")
+    value, calls = _scan_work(monkeypatch, m, "greedy")
+    assert value == expected
+    # The class-cached scan runs every cover to the end; a capped cover
+    # runs to the end only when it exceeds the running maximum.
+    completed = [c for c in calls if c[4] > c[3]]
+    assert len(calls) < len(seed_covers)
+    assert 0 < len(completed) < len(seed_covers)
+    assert _largest_cache(calls) <= 2 * m.n
+
+
+@st.composite
+def set_systems(draw):
+    """A universe mask over up to 12 points and sets over it in any order,
+    with a singleton per point so that every point is covered."""
+    n = draw(st.integers(1, 12))
+    universe = draw(st.integers(1, 2**n - 1))
+    sets = draw(st.lists(st.integers(0, 2**n - 1), max_size=10)) + [1 << i for i in range(n)]
+    return universe, draw(st.permutations(sets))
+
+
+@settings(max_examples=200, deadline=None)
+@given(set_systems())
+def test_capped_greedy_cover(system):
+    universe, sets = system
+    full = _greedy_cover_seed(universe, sets)
+    assert metric._greedy_cover(universe, sets) == full
+    assert metric._greedy_cover(universe, sets, None) == full
+    for cap in range(universe.bit_count() + 2):
+        out = metric._greedy_cover(universe, sets, cap)
+        assert out == full if full > cap else out <= cap
+
+
+@pytest.mark.parametrize("mode", ["exact", "greedy"])
+def test_covering_number_rejects_an_uncoverable_subset(mode):
+    # Point 1 lies in no open 1-ball: its own distance to itself is 5.
+    m = FiniteMetric(np.array([[0.0, 2.0], [2.0, 5.0]]))
+    with pytest.raises(ValueError, match="subset cannot be covered"):
+        covering_number(m, None, 1.0, mode=mode)
 
 
 def test_covering_growth_against_estimate():
