@@ -1,12 +1,12 @@
 """Graph container, named and random generators, and basic statistics.
 
-Adjacency is stored twice: as one packed bit row per vertex (arbitrary-precision
-Python ints), which gives constant-time edge queries and word-parallel
-neighborhood intersections, and as one read-only boolean matrix
-(``Graph.matrix``), which drives validation, induction and the distance
-computations as whole-array operations. Graphs are immutable after
-construction and safe to share across threads; every generator is a pure
-function of its parameters and seed.
+A graph stores its adjacency once, as a read-only boolean matrix
+(``Graph.matrix``) checked with whole-array operations at construction, which
+drives induction and the distance computations. Packed bit rows (one Python
+int per vertex, ``Graph.rows``) for constant-time edge queries and
+word-parallel neighborhood intersections are derived from it on first use.
+Graphs are immutable after construction and safe to share across threads;
+every generator is a pure function of its parameters and seed.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -100,53 +101,73 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // max(n, 1))
 
 
-def _unpack_rows(rows: Sequence[int], n: int) -> np.ndarray:
-    """(n, n) boolean matrix whose row v holds the bits of ``rows[v]``."""
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), dtype=np.uint8)
-    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
-
-
 def _pack_rows(a: np.ndarray) -> tuple[int, ...]:
-    """Bit rows of a 2-d boolean array: bit j of row i is ``a[i, j]``
-    (inverse of ``_unpack_rows`` on square matrices)."""
+    """Bit rows of a 2-d boolean array: bit j of row i is ``a[i, j]``."""
     packed = np.packbits(a, axis=1, bitorder="little")
     data, width = packed.tobytes(), packed.shape[1]
     return tuple(int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(a)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
-    ``rows[v]`` is the neighbor bitmask of ``v`` (self bit never set).
-    ``blocks`` optionally records planted-partition labels per vertex.
-    ``matrix`` is the same adjacency as a read-only (n, n) boolean array.
+    ``matrix`` is the adjacency as a read-only (n, n) boolean array and
+    ``rows[v]`` the neighbor bitmask of ``v``; ``blocks`` optionally records
+    planted-partition labels per vertex. ``Graph.of`` builds from a matrix.
     """
 
     n: int
-    rows: tuple[int, ...]
+    matrix: np.ndarray = field(repr=False)
     blocks: tuple[int, ...] | None = None
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or len(self.rows) != self.n:
+    def __init__(self, n: int, rows: Sequence[int], blocks: tuple[int, ...] | None = None) -> None:
+        if n < 0 or len(rows) != n:
             raise ValueError("row count must equal vertex count")
-        for v, row in enumerate(self.rows):
-            if row >> self.n:
-                raise ValueError(f"row {v} references vertices >= n")
-            if (row >> v) & 1:
-                raise ValueError(f"self-loop at vertex {v}")
-        a = _unpack_rows(self.rows, self.n)
-        # Symmetry: u in rows[v] iff v in rows[u]; report the first (v, u) in row order.
-        step = _block_rows(self.n)
-        if not all(np.array_equal(a[lo : lo + step], a[:, lo : lo + step].T) for lo in range(0, self.n, step)):
+        # Signed and one bit wider than n and every row: each bit a row sets at
+        # or beyond n, a negative row's sign bits included, lands in a column >= n.
+        width = max([n, *(row.bit_length() for row in rows)]) + 1
+        size = (width + 7) // 8
+        packed = np.frombuffer(b"".join(row.to_bytes(size, "little", signed=True) for row in rows), dtype=np.uint8)
+        a = np.unpackbits(packed.reshape(n, size), axis=1, count=width, bitorder="little").view(bool)
+        bad = a[:, n:].any(axis=1) | a.diagonal()
+        if bad.any():  # the first bad row; its range error before its self-loop
+            v = int(bad.argmax())
+            raise ValueError(f"row {v} references vertices >= n" if a[v, n:].any() else f"self-loop at vertex {v}")
+        vars(self).update(vars(Graph.of(a[:, :n], blocks)), rows=tuple(rows))
+
+    @classmethod
+    def of(cls, a: np.ndarray, blocks: tuple[int, ...] | None = None) -> "Graph":
+        """Graph whose adjacency is the square boolean array ``a``, taken over
+        without a copy and made read-only. Every graph passes this check."""
+        a = np.asarray(a)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.dtype != bool:
+            raise ValueError("adjacency must be a square boolean matrix")
+        n = len(a)
+        if a.diagonal().any():
+            raise ValueError(f"self-loop at vertex {int(a.diagonal().argmax())}")
+        # Symmetry: u in row v iff v in row u; report the first (v, u) in row order.
+        step = _block_rows(n)
+        if not all(np.array_equal(a[lo : lo + step], a[:, lo : lo + step].T) for lo in range(0, n, step)):
             v, u = np.argwhere(a & ~a.T)[0]
             raise ValueError(f"asymmetric adjacency between {u} and {v}")
-        a.flags.writeable = False
-        object.__setattr__(self, "matrix", a)
-        if self.blocks is not None and len(self.blocks) != self.n:
+        if blocks is not None and len(blocks) != n:
             raise ValueError("blocks must label every vertex")
+        a.flags.writeable = False
+        g = cls.__new__(cls)
+        vars(g).update(n=n, matrix=a, blocks=blocks)
+        return g
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """Neighbor bitmasks (self bit never set), packed from ``matrix`` on first read."""
+        return _pack_rows(self.matrix)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Graph) and (self.n, self.rows, self.blocks) == (other.n, other.rows, other.blocks)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows, self.blocks))
 
     # -- queries ---------------------------------------------------------
 
@@ -154,17 +175,17 @@ class Graph:
         return bool((self.rows[u] >> v) & 1)
 
     def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
+        return int(np.count_nonzero(self.matrix[v]))
 
     def degrees(self) -> list[int]:
-        return [row.bit_count() for row in self.rows]
+        return np.count_nonzero(self.matrix, axis=1).tolist()
 
     def max_degree(self) -> int:
-        return max((row.bit_count() for row in self.rows), default=0)
+        return max(self.degrees(), default=0)
 
     @property
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows) // 2
+        return int(np.count_nonzero(self.matrix)) // 2
 
     def neighbors(self, v: int) -> Iterator[int]:
         return bits(self.rows[v])
@@ -174,24 +195,23 @@ class Graph:
         return self.rows[v] | (1 << v)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n):
-            for v in bits(self.rows[u] >> (u + 1)):
-                yield (u, u + 1 + v)
+        """Edges (u, v) with u < v, in row-major order."""
+        u, v = np.nonzero(np.triu(self.matrix, 1))
+        return zip(u.tolist(), v.tolist())
 
     def induced(self, vertices: Sequence[int]) -> "Graph":
         """Subgraph induced by ``vertices`` (relabeled 0..len-1 in given order)."""
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertices in induced subset")
         idx = np.asarray(vertices, dtype=np.intp)
-        return Graph(len(idx), _pack_rows(self.matrix[np.ix_(idx, idx)]))
+        return Graph.of(self.matrix[np.ix_(idx, idx)])
 
     def adjacency_matrix(self) -> np.ndarray:
         return self.matrix.astype(np.float64)
 
     def digest(self) -> str:
         """Stable hex digest of the labeled graph (used in certificates)."""
-        u, v = np.nonzero(np.triu(self.matrix, 1))  # edges() order: row-major, u < v
-        text = f"n={self.n};" + "".join(map("{},{};".format, u.tolist(), v.tolist()))
+        text = f"n={self.n};" + "".join(f"{u},{v};" for u, v in self.edges())
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -226,14 +246,15 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]] | np.ndarray) -> Gra
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         raise ValueError(f"self-loop at vertex {u}")
-    a = np.zeros((max(n, 0), max(n, 0)), dtype=bool)
-    a[e[:, 0], e[:, 1]] = True
-    a[e[:, 1], e[:, 0]] = True
-    return Graph(n, _pack_rows(a))
+    if n < 0:
+        raise ValueError("row count must equal vertex count")
+    a = np.zeros((n, n), dtype=bool)
+    a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = True
+    return Graph.of(a)
 
 
-def _sample_pairs(n: int, seed: int, prob: Callable[[int, int], float | np.ndarray]) -> tuple[int, ...]:
-    """Rows of a graph on n vertices whose pair u < v is an edge iff its uniform
+def _sample_pairs(n: int, seed: int, prob: Callable[[int, int], float | np.ndarray]) -> np.ndarray:
+    """Adjacency of a graph on n vertices whose pair u < v is an edge iff its uniform
     draw falls below its probability. Pairs take draws in row-major order, the
     order of a double loop over u then v > u; ``prob(lo, hi)`` gives the
     probabilities of rows lo:hi as a scalar or an (hi - lo, n) array."""
@@ -248,14 +269,14 @@ def _sample_pairs(n: int, seed: int, prob: Callable[[int, int], float | np.ndarr
             limit = limit[upper]
         a[lo : lo + step][upper] = rng.random(int(np.count_nonzero(upper))) < limit
     a |= a.T
-    return _pack_rows(a)
+    return a
 
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdős–Rényi graph: each of the C(n,2) edges present with probability p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
-    return Graph(n, _sample_pairs(n, seed, lambda lo, hi: p))
+    return Graph.of(_sample_pairs(n, seed, lambda lo, hi: p))
 
 
 def gen_kregular(n: int, k: int, seed: int, restarts: int = 1000) -> Graph:
@@ -264,58 +285,43 @@ def gen_kregular(n: int, k: int, seed: int, restarts: int = 1000) -> Graph:
     Pairings producing self-loops or multi-edges are rejected wholesale and
     the shuffle is restarted, up to ``restarts`` attempts. When all of them
     fail (likely for k >= 6), the same stream continues into up to
-    ``restarts`` attempts of the Steger–Wormald sampler.
+    ``restarts`` attempts of the batched Steger–Wormald sampler (Combin.
+    Probab. Comput. 1999): pair the stubs left over at random and keep every
+    pair that adds a new simple edge, until no stub is left, or no pair of
+    the leftover stubs could add one (a failed attempt).
     """
     if k >= n:
         raise ValueError("degree must be smaller than vertex count")
     if (n * k) % 2 != 0:
         raise ValueError("n*k must be even for a k-regular graph")
-    if k == 0:
-        return Graph(n, tuple([0] * n))
     rng = rng_for(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int64), k)
     for _ in range(restarts):
-        rng.shuffle(stubs)
-        rows = [0] * n
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u = int(stubs[i])
-            v = int(stubs[i + 1])
-            if u == v or (rows[u] >> v) & 1:
-                ok = False
-                break
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        if ok:
-            return Graph(n, tuple(rows))
+        a = np.zeros((n, n), dtype=bool)
+        if not _pair_stubs(a, stubs, rng).size:
+            return Graph.of(a)
     for _ in range(restarts):
-        rows = _steger_wormald(n, k, rng)
-        if rows is not None:
-            return Graph(n, tuple(rows))
+        a, left = np.zeros((n, n), dtype=bool), np.sort(stubs)  # every stub, in vertex order
+        while left.size:
+            left = _pair_stubs(a, left, rng)
+            ends = np.unique(left)
+            if left.size and (a[np.ix_(ends, ends)] | np.eye(len(ends), dtype=bool)).all():
+                break
+        else:
+            return Graph.of(a)
     raise GenerationError(f"pairing model and Steger–Wormald sampler failed within {restarts} restarts each")
 
 
-def _steger_wormald(n: int, k: int, rng: np.random.Generator) -> list[int] | None:
-    """One attempt of the Steger–Wormald sampler (Combin. Probab. Comput. 1999)
-    in its batched form: pair the unpaired stubs at random, keep every pair
-    that adds a new simple edge, and repeat on the stubs left over. None when
-    the leftover stubs admit no new edge."""
-    rows = [0] * n
-    stubs = np.repeat(np.arange(n, dtype=np.int64), k)
-    while stubs.size:
-        rng.shuffle(stubs)
-        left: list[int] = []
-        for u, v in stubs.reshape(-1, 2).tolist():
-            if u != v and not (rows[u] >> v) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            else:
-                left += (u, v)
-        ends = set(left)
-        if left and not any(u != v and not (rows[u] >> v) & 1 for u in ends for v in ends):
-            return None
-        stubs = np.array(left, dtype=np.int64)
-    return rows
+def _pair_stubs(a: np.ndarray, stubs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Shuffle ``stubs`` in place, pair them up in order and add to ``a`` each
+    pair that makes a new simple edge; return the stubs of the other pairs."""
+    rng.shuffle(stubs)
+    u, v = stubs.reshape(-1, 2).T
+    first = np.zeros(len(u), dtype=bool)  # a repeated pair counts at its first occurrence only
+    first[np.unique(np.minimum(u, v) * len(a) + np.maximum(u, v), return_index=True)[1]] = True
+    keep = first & (u != v) & ~a[u, v]
+    a[u[keep], v[keep]] = a[v[keep], u[keep]] = True
+    return stubs.reshape(-1, 2)[~keep].ravel()
 
 
 def gen_planted_partition(
@@ -334,8 +340,7 @@ def gen_planted_partition(
     def prob(lo: int, hi: int) -> np.ndarray:
         return np.where(labels[lo:hi, None] == labels[None, :], p, q)
 
-    rows = _sample_pairs(len(labels), seed, prob)
-    return Graph(len(labels), rows, blocks=tuple(labels.tolist()))
+    return Graph.of(_sample_pairs(len(labels), seed, prob), blocks=tuple(labels.tolist()))
 
 
 NAMED_FAMILIES = (
@@ -420,23 +425,24 @@ def gen_family(family: str, n: int, p: float, q: float, k: int, seed: int | None
 # -- traversal and statistics ---------------------------------------------
 
 
-def bfs_distances(g: Graph, src: int) -> list[float]:
-    """Hop distances from ``src``; unreachable vertices get ``inf``."""
-    dist: list[float] = [math.inf] * g.n
-    dist[src] = 0
-    frontier = 1 << src
-    visited = frontier
-    d = 0
+def _hop_layers(g: Graph, src: int) -> Iterator[int]:
+    """Bitmasks of the vertices 0, 1, 2, ... hops from ``src``, while any are left."""
+    frontier = visited = 1 << src
     while frontier:
+        yield frontier
         nxt = 0
         for v in bits(frontier):
             nxt |= g.rows[v]
-        nxt &= ~visited
-        d += 1
-        for v in bits(nxt):
+        frontier = nxt & ~visited
+        visited |= frontier
+
+
+def bfs_distances(g: Graph, src: int) -> list[float]:
+    """Hop distances from ``src``; unreachable vertices get ``inf``."""
+    dist: list[float] = [math.inf] * g.n
+    for d, layer in enumerate(_hop_layers(g, src)):
+        for v in bits(layer):
             dist[v] = d
-        visited |= nxt
-        frontier = nxt
     return dist
 
 
@@ -549,18 +555,10 @@ def connected_components(g: Graph) -> list[list[int]]:
     seen = 0
     comps: list[list[int]] = []
     for s in range(g.n):
-        if (seen >> s) & 1:
-            continue
-        frontier = 1 << s
-        comp = frontier
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.rows[v]
-            frontier = nxt & ~comp
-            comp |= nxt
-        seen |= comp
-        comps.append(list(bits(comp)))
+        if not (seen >> s) & 1:
+            comp = sum(_hop_layers(g, s))  # the layers are disjoint
+            seen |= comp
+            comps.append(list(bits(comp)))
     return comps
 
 
@@ -599,7 +597,7 @@ def quotient_with_map(g: Graph) -> tuple[Graph, list[int]]:
     """
     classes = neighborhood_classes(g)
     reps = [members[0] for members in classes]
-    return Graph(len(reps), _pack_rows(g.matrix[np.ix_(reps, reps)])), group_index(classes, g.n)
+    return Graph.of(g.matrix[np.ix_(reps, reps)]), group_index(classes, g.n)
 
 
 def quotient_by_neighborhood(g: Graph) -> Graph:
@@ -675,5 +673,5 @@ def read_edge_list(path: str) -> Graph:
     if g.edge_count != m:
         raise ValueError(f"header declares {m} edges, file carries {g.edge_count}")
     if labels:
-        g = Graph(g.n, g.rows, blocks=labels[-1])
+        g = Graph.of(g.matrix, blocks=labels[-1])
     return g

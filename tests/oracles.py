@@ -376,6 +376,44 @@ def planted_oracle(sizes, p: float, q: float, seed: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def kregular_oracle(n: int, k: int, seed: int, restarts: int = 1000) -> tuple[int, ...] | None:
+    """Rows of ``gen_kregular`` by its per-pair loops as first written: pairing
+    restarts that reject at the first self-loop or repeated edge, then
+    Steger–Wormald attempts that keep each pair making a new simple edge, on
+    the same stream. None where both give up."""
+    rng = rng_for(seed)
+    stubs = np.repeat(np.arange(n, dtype=np.int64), k)
+    for _ in range(restarts):
+        rng.shuffle(stubs)
+        rows = [0] * n
+        for u, v in stubs.reshape(-1, 2).tolist():
+            if u == v or (rows[u] >> v) & 1:
+                break
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        else:
+            return tuple(rows)
+    for _ in range(restarts):
+        rows = [0] * n
+        stubs = np.repeat(np.arange(n, dtype=np.int64), k)
+        while stubs.size:
+            rng.shuffle(stubs)
+            left: list[int] = []
+            for u, v in stubs.reshape(-1, 2).tolist():
+                if u != v and not (rows[u] >> v) & 1:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+                else:
+                    left += (u, v)
+            ends = set(left)
+            if left and not any(u != v and not (rows[u] >> v) & 1 for u in ends for v in ends):
+                break
+            stubs = np.array(left, dtype=np.int64)
+        else:
+            return tuple(rows)
+    return None
+
+
 def from_edge_list_oracle(n: int, edges) -> tuple[int, ...]:
     """Rows of ``from_edge_list`` as first written: one bit per endpoint, edge
     by edge, raising at the first out-of-range endpoint or self-loop."""

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from presdim.cli import main
+from presdim.cli import build_parser, main
 from presdim.construct import result_from_json
 from presdim.graph import gen_named, read_edge_list
 from presdim.preserve import certificate_from_json
@@ -297,3 +297,25 @@ def test_doubling_rejects_points_off_their_header(tmp_path, text):
     path = tmp_path / "points.txt"
     path.write_text(text)
     assert main(["doubling", "--points", str(path)]) == 2
+
+
+def test_a_second_call_keeps_nothing_of_the_first(tmp_path, capsys):
+    """``main`` reuses one parser per process: a call that omits the options
+    an earlier call set (--out, --seed) behaves as it does on its own."""
+    g_path, rep_path = tmp_path / "g.el", tmp_path / "rep.json"
+    assert main(["generate", "--family", "cycle", "--n", "6", "--out", str(g_path)]) == 0
+    pairs = [
+        (["analyze", str(g_path), "--alpha", "1.0", "--out", str(rep_path)], ["analyze", str(g_path), "--alpha", "1.0"]),
+        (["experiment", "--kind", "diameter2", "--n", "8", "--trials", "3", "--seed", "4"],
+         ["experiment", "--kind", "diameter2", "--n", "8", "--trials", "3"]),
+    ]
+    for first, second in pairs:
+        main(first)
+        rep_path.unlink(missing_ok=True)
+        capsys.readouterr()
+        after = (main(second), capsys.readouterr())
+        assert not rep_path.exists()
+        build_parser.cache_clear()
+        assert (main(second), capsys.readouterr()) == after
+    assert after[0] == 2 and "pass --seed" in after[1].err
+    assert build_parser() is build_parser()

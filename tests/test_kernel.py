@@ -1,19 +1,22 @@
 """The matrix kernel of ``presdim.graph`` (``Graph.matrix``, the generators,
-``induced``, ``diameter``, ``all_pairs_distances`` and ``digest``) against
-the bit-by-bit oracles."""
+``induced``, ``diameter``, ``all_pairs_distances``, the BFS layers and
+``digest``) against the bit-by-bit oracles."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from presdim.graph import (
+    GenerationError,
     Graph,
     all_pairs_distances,
     ball_matrices,
+    bfs_distances,
+    connected_components,
     diameter,
     from_edge_list,
     gen_gnp,
@@ -30,6 +33,7 @@ from oracles import (
     gnp_oracle,
     graph_error_oracle,
     induced_oracle,
+    kregular_oracle,
     planted_oracle,
 )
 
@@ -173,3 +177,103 @@ def test_kregular_finishes_for_large_degree(k):
         g = gen_kregular(100, k, seed)
         assert g.degrees() == [k] * 100
         assert g.rows == gen_kregular(100, k, seed).rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=10), st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=3))
+def test_graph_of_rejects_bad_matrices_with_the_scan_messages(g, flips):
+    """The matrix entry point accepts or rejects an adjacency in matrix form
+    exactly as the row scan does in row form, with the same message."""
+    a = g.matrix.copy()
+    for u, v in flips:
+        if u < g.n and v < g.n:
+            a[u, v] ^= True
+    rows = tuple(sum(1 << int(v) for v in np.flatnonzero(row)) for row in a)
+    message = graph_error_oracle(g.n, rows)
+    if message is None:
+        assert Graph.of(a) == Graph(g.n, rows)
+    else:
+        with pytest.raises(ValueError) as err:
+            Graph.of(a)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "a",
+    [np.zeros((2, 3), dtype=bool), np.zeros(3, dtype=bool), np.zeros((3, 3), dtype=np.int8), np.eye(2)],
+    ids=["non-square", "one-dimensional", "integer", "float"],
+)
+def test_graph_of_rejects_arrays_that_are_no_adjacency(a):
+    with pytest.raises(ValueError, match="adjacency must be a square boolean matrix"):
+        Graph.of(a)
+
+
+def test_graph_of_takes_blocks_and_checks_their_length():
+    a = gen_named("path", 4).matrix
+    assert Graph.of(a, blocks=(0, 0, 1, 1)).blocks == (0, 0, 1, 1)
+    for blocks in [(0, 0, 1), ()]:
+        with pytest.raises(ValueError, match="blocks must label every vertex"):
+            Graph.of(a, blocks=blocks)
+    with pytest.raises(ValueError, match="blocks must label every vertex"):
+        Graph(4, gen_named("path", 4).rows, blocks=(0,))
+
+
+def test_graph_of_freezes_the_matrix_and_derives_the_rows():
+    a = np.zeros((3, 3), dtype=bool)
+    a[0, 2] = a[2, 0] = True
+    g = Graph.of(a)
+    assert g.matrix is a and not a.flags.writeable
+    assert "rows" not in vars(g)
+    assert g.rows == (0b100, 0, 0b001) and g.rows is g.rows
+    assert g == Graph(3, (0b100, 0, 0b001)) and hash(g) == hash(Graph(3, (0b100, 0, 0b001)))
+    assert g != Graph.of(a, blocks=(0, 0, 0)) and g != "graph"
+    with pytest.raises(AttributeError):
+        g.n = 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(graphs(min_n=1), unions()), st.data())
+def test_bfs_distances_and_components_match_the_oracle(g, data):
+    """BFS distances equal a row of scipy's distances, and the components are
+    the classes of finite distance, each sorted, ordered by minimum."""
+    dist = distances_oracle(g)
+    src = data.draw(st.integers(0, g.n - 1))
+    assert bfs_distances(g, src) == dist[src].tolist()
+    comps = {tuple(np.flatnonzero(np.isfinite(row)).tolist()) for row in dist}
+    assert connected_components(g) == sorted(map(list, comps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 5), st.integers(0, 10**6), st.sampled_from([1, 2, 1000]))
+def test_kregular_rows_equal_the_pair_loops(n, k, seed, restarts):
+    """Pairing-model restarts and the Steger–Wormald fallback (reached with
+    few restarts) give the rows of the per-pair loops on the same stream."""
+    assume(k < n and n * k % 2 == 0)
+    want = kregular_oracle(n, k, seed, restarts)
+    if want is None:
+        with pytest.raises(GenerationError):
+            gen_kregular(n, k, seed, restarts)
+    else:
+        assert gen_kregular(n, k, seed, restarts).rows == want
+
+
+@pytest.mark.parametrize(
+    "n, rows, message",
+    [
+        (3, (0, -1, 0), "row 1 references vertices >= n"),
+        (3, (0, -(1 << 70), 1 << 9), "row 1 references vertices >= n"),
+        (3, (0b001, 1 << 70, 0), "self-loop at vertex 0"),
+        (3, (1 << 3 | 1, 0, 0), "row 0 references vertices >= n"),
+        (0, (), None),
+    ],
+)
+def test_graph_rows_are_checked_in_scan_order(n, rows, message):
+    """Negative and overlong rows: the first bad row wins, and within a row
+    the range error comes before the self-loop."""
+    assert graph_error_oracle(n, rows) == message
+    if message is None:
+        assert Graph(n, rows).matrix.shape == (n, n)
+    else:
+        with pytest.raises(ValueError) as err:
+            Graph(n, rows)
+        assert str(err.value) == message
