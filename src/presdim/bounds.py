@@ -23,16 +23,14 @@ import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
 from .config import DEFAULT_LIMITS, Limits
 from .construct import BY_TAG, CONSTRUCTIONS, GraphFacts, graph_facts
-from .graph import Graph, ball_matrices, connected_components, diameter
+from .graph import Graph, _pack_rows, ball_matrices, bits, connected_components, diameter
 from .partition import (
     SearchBudgetExceeded,
+    _dsatur_greedy,
+    _greedy_clique_mask,
     clique_cover,
-    greedy_clique,
-    greedy_coloring_size,
     independence_number,
     neighborhood_class_count,
 )
@@ -87,55 +85,59 @@ _BALL_RADII = (1, 2, 3)
 
 
 def _candidate_subsets(g: Graph, extra: Sequence[Sequence[int]] | None) -> list[list[int]]:
-    """Deduplicated subsets of 2+ vertices; user subsets come last, maybe disconnected."""
-    seen: set[frozenset[int]] = set()
-    out: list[list[int]] = []
-
-    def add(vertices: Sequence[int]) -> None:
-        key = frozenset(vertices)
-        if len(key) < 2 or key in seen:
-            return
-        seen.add(key)
-        out.append(sorted(key))
-
-    for comp in connected_components(g):
-        add(comp)
-    balls = ball_matrices(g, max(_BALL_RADII))
-    for v in range(g.n):
-        for rad in _BALL_RADII:
-            add(np.flatnonzero(balls[rad - 1][v]).tolist())
-    for subset in extra or ():
-        add(subset)
-    return out
+    """Deduplicated subsets of 2+ vertices, each sorted; user subsets come
+    last, maybe disconnected. Subsets are compared as vertex bitmasks."""
+    masks = [sum(1 << v for v in comp) for comp in connected_components(g)]
+    balls = [_pack_rows(ball) for ball in ball_matrices(g, max(_BALL_RADII))]
+    masks += [balls[rad - 1][v] for v in range(g.n) for rad in _BALL_RADII]
+    masks += [sum(1 << v for v in set(subset)) for subset in extra or ()]
+    return [list(bits(mask)) for mask in dict.fromkeys(masks) if mask.bit_count() >= 2]
 
 
-def _partition_floor(sub: Graph, limits: Limits) -> tuple[float, bool]:
+# The floors below read greedy bounds off the parent's bit rows ``rows`` inside
+# the vertex mask ``cand`` of a candidate U; the exact searches take the
+# induced subgraph ``sub`` = G|U. U is sorted, so G|U labels its vertices in
+# the parent's order and every greedy pick and tie is the one on G|U.
+# Two facts bound the floors: alpha(U) <= alpha(V) for U inside V, and
+# |U| / colors <= alpha(U) for any proper coloring of U, as the largest of
+# its color classes, each an independent set, has at least that many vertices.
+
+
+def _partition_floor(sub: Graph, rows: Sequence[int], cand: int, limits: Limits) -> tuple[float, bool]:
     """A certified lower bound on the minimum clique-partition size of the
     induced subgraph ``sub``: exact when small, else max of an independent
     set and |U| divided by a coloring upper bound on the clique number.
     Also says whether the floor is exact: the exact cover or an exact
     independence number, not the greedy one a spent search budget falls
-    back to."""
+    back to. An exact independence number is the floor itself, as the
+    coloring term is at most alpha(U); DSATUR runs only after the greedy
+    fallback, and only where |U| over the greedy clique size, a bound on its
+    term (DSATUR uses at least omega colors), beats the fallback."""
     if sub.n <= limits.exact_cover:
         return float(clique_cover(sub, mode="exact").size), True
     try:
-        iota, exact = independence_number(sub, mode="exact", budget=limits.clique_budget), True
+        return float(independence_number(sub, mode="exact", budget=limits.clique_budget)), True
     except SearchBudgetExceeded:
-        iota, exact = independence_number(sub, mode="greedy"), False
-    kappa_upper = max(greedy_coloring_size(sub), 1)
-    return float(max(iota, sub.n / kappa_upper)), exact
+        iota = independence_number(sub, mode="greedy")
+    if sub.n / _greedy_clique_mask(rows, cand).bit_count() <= iota:
+        return float(iota), False
+    return float(max(iota, sub.n / (max(_dsatur_greedy(rows, cand)) + 1))), False
 
 
-def _floor_at_most(sub: Graph, bar: float, limits: Limits) -> bool:
-    """Whether ``_partition_floor(sub)`` is provably at most ``bar``, the
-    exact floor of a superset, without an exact search. That floor is at
-    least the superset's independence number, so at least any independent
-    set of ``sub``; the greedy cover bounds the exact one, and the greedy
-    clique, a lower bound on the clique number, caps the |U|/DSATUR term
-    before DSATUR runs."""
-    if sub.n <= limits.exact_cover:
-        return clique_cover(sub, mode="greedy").size <= bar
-    return sub.n / len(greedy_clique(sub)) <= bar or sub.n / greedy_coloring_size(sub) <= bar
+def _floor_at_most(rows: Sequence[int], cand: int, bar: float, limits: Limits) -> bool:
+    """Whether ``_partition_floor`` of U is provably at most ``bar``, the
+    exact floor of a superset V, without an exact search. That floor is at
+    least alpha(V) >= alpha(U). Above the exact-cover limit, both terms of
+    U's floor are at most alpha(U), so it always is. At or below it, U's
+    floor is its minimum clique cover: a greedy cover with at most ``bar``
+    cliques proves it."""
+    if cand.bit_count() > limits.exact_cover:
+        return True
+    blocks = 0  # of the greedy clique cover, peeled off one clique at a time
+    while cand:
+        cand &= ~_greedy_clique_mask(rows, cand)
+        blocks += 1
+    return blocks <= bar
 
 
 def subset_profile(
@@ -156,6 +158,7 @@ def subset_profile(
     """
     profile = []
     exact_entries: list[tuple[int, float, float]] = []  # (vertex mask, diam, floor)
+    rows = g.rows
     for subset in sorted(_candidate_subsets(g, subsets), key=len, reverse=True):
         sub = g.induced(subset)
         diam = diameter(sub)
@@ -163,9 +166,9 @@ def subset_profile(
             continue
         mask = sum(1 << v for v in subset)
         bars = [floor for held, d, floor in exact_entries if mask & ~held == 0 and d <= diam]
-        if bars and _floor_at_most(sub, max(bars), limits):
+        if bars and _floor_at_most(rows, mask, max(bars), limits):
             continue
-        floor, exact = _partition_floor(sub, limits)
+        floor, exact = _partition_floor(sub, rows, mask, limits)
         profile.append((diam, floor, neighborhood_class_count(g, subset)))
         if exact:
             exact_entries.append((mask, diam, floor))

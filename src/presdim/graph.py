@@ -163,6 +163,10 @@ class Graph:
         """Neighbor bitmasks (self bit never set), packed from ``matrix`` on first read."""
         return _pack_rows(self.matrix)
 
+    def __reduce__(self) -> tuple:
+        """Unpickle through ``Graph.of``, so that the matrix is checked and read-only again."""
+        return Graph.of, (self.matrix, self.blocks)
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and (self.n, self.rows, self.blocks) == (other.n, other.rows, other.blocks)
 
@@ -204,7 +208,7 @@ class Graph:
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertices in induced subset")
         idx = np.asarray(vertices, dtype=np.intp)
-        return Graph.of(self.matrix[np.ix_(idx, idx)])
+        return Graph.of(self.matrix.take(idx, 0).take(idx, 1))
 
     def adjacency_matrix(self) -> np.ndarray:
         return self.matrix.astype(np.float64)

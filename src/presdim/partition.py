@@ -76,14 +76,22 @@ def format_partition(p: VertexPartition) -> str:
 
 def _greedy_clique_mask(rows: Sequence[int], cand: int) -> int:
     """Greedy clique inside ``cand``: repeatedly add the member with the most
-    remaining candidate neighbors (ties to the lowest index)."""
+    remaining candidate neighbors (ties to the lowest index). ``rows`` may be
+    a larger graph's bit rows; only their bits inside ``cand`` are read."""
     clique = 0
     while cand:
         best_v, best_d = -1, -1
-        for v in bits(cand):
+        top = cand.bit_count() - 1  # adjacent to every other member: no later one beats it
+        q = cand
+        while q:
+            low = q & -q
+            v = low.bit_length() - 1
             d = (rows[v] & cand).bit_count()
             if d > best_d:
                 best_v, best_d = v, d
+                if d == top:
+                    break
+            q ^= low
         clique |= 1 << best_v
         cand &= rows[best_v]
     return clique
@@ -94,39 +102,45 @@ def greedy_clique(g: Graph) -> list[int]:
     return list(bits(_greedy_clique_mask(g.rows, (1 << g.n) - 1)))
 
 
-def _dsatur_pick(colors: Sequence[int], sat: Sequence[int], degree: Sequence[int]) -> int:
-    """The uncolored vertex DSATUR colors next: most distinct neighbor colors
-    (``sat`` holds them as bitmasks), then highest degree, then lowest index."""
-    v, key = -1, (-1, -1, 0)
-    for u, c in enumerate(colors):
-        if c == -1:
-            k = (sat[u].bit_count(), degree[u], -u)
-            if k > key:
-                key, v = k, u
-    return v
+# DSATUR colors next the uncolored vertex with the most distinct neighbor
+# colors, then the highest degree, then the lowest index. Its key packs the
+# first two into one int, colors times _SAT plus degree, so that ``max`` over
+# an ascending vertex list picks it (``max`` keeps the first of equal keys).
+_SAT = 1 << 32
 
 
-def _dsatur_greedy(rows: Sequence[int], n: int) -> list[int]:
-    """Greedy DSATUR coloring."""
-    colors = [-1] * n
-    sat = [0] * n  # bitmask of colors used by neighbors
-    degree = [row.bit_count() for row in rows]
-    for _ in range(n):
-        v = _dsatur_pick(colors, sat, degree)
-        c = 0
-        while (sat[v] >> c) & 1:
-            c += 1
-        colors[v] = c
-        for u in bits(rows[v]):
-            sat[u] |= 1 << c
+def _dsatur_keys(rows: Sequence[int], cand: int, sat: Sequence[int]) -> list[int]:
+    """DSATUR key of each vertex in ``cand`` (0 elsewhere): the popcount of
+    its neighbor-color bitmask ``sat`` and its degree inside ``cand``."""
+    key = [0] * len(rows)
+    for v in bits(cand):
+        key[v] = sat[v].bit_count() * _SAT + (rows[v] & cand).bit_count()
+    return key
+
+
+def _dsatur_greedy(rows: Sequence[int], cand: int) -> list[int]:
+    """Greedy DSATUR coloring of the vertices in ``cand`` (-1 outside it), on
+    the bit rows ``rows`` read inside ``cand``."""
+    colors = [-1] * len(rows)
+    sat = [0] * len(rows)  # bitmask of colors used by neighbors
+    key = _dsatur_keys(rows, cand, sat)
+    left = list(bits(cand))
+    while left:
+        v = max(left, key=key.__getitem__)
+        left.remove(v)
+        cand ^= 1 << v
+        color = ~sat[v] & (sat[v] + 1)  # the lowest color no neighbor has
+        colors[v] = color.bit_length() - 1
+        for u in bits(rows[v] & cand):
+            if not sat[u] & color:
+                sat[u] |= color
+                key[u] += _SAT
     return colors
 
 
 def greedy_coloring_size(g: Graph) -> int:
     """Number of colors the DSATUR greedy uses on g (upper bound on chi)."""
-    if g.n == 0:
-        return 0
-    return max(_dsatur_greedy(g.rows, g.n)) + 1
+    return max(_dsatur_greedy(g.rows, (1 << g.n) - 1), default=-1) + 1
 
 
 # -- exact maximum clique ----------------------------------------------------
@@ -219,22 +233,23 @@ def _exact_coloring(rows: Sequence[int], n: int, budget: int) -> list[int]:
     """Optimal coloring color assignment via DSATUR-ordered branch and bound."""
     if n == 0:
         return []
-    greedy = _dsatur_greedy(rows, n)
-    best_k = max(greedy) + 1
-    best = greedy[:]
-    clique = list(bits(_greedy_clique_mask(rows, (1 << n) - 1)))
+    full = (1 << n) - 1
+    best = _dsatur_greedy(rows, full)
+    best_k = max(best) + 1
+    clique = list(bits(_greedy_clique_mask(rows, full)))
     lb = len(clique)
     if best_k == lb:
         return best
 
     colors = [-1] * n
     sat = [0] * n
-    degree = [row.bit_count() for row in rows]
     # Symmetry breaking: a clique must take pairwise distinct colors.
     for c, v in enumerate(clique):
         colors[v] = c
         for u in bits(rows[v]):
             sat[u] |= 1 << c
+    key = _dsatur_keys(rows, full, sat)
+    left = [v for v in range(n) if colors[v] == -1]
     nodes = 0
 
     def bnb(colored: int, used: int) -> None:
@@ -250,20 +265,26 @@ def _exact_coloring(rows: Sequence[int], n: int, budget: int) -> list[int]:
             if best_k == lb:
                 raise _Done
             return
-        v = _dsatur_pick(colors, sat, degree)
+        v = max(left, key=key.__getitem__)
+        i = left.index(v)
+        del left[i]
         for c in range(used + (1 if used < best_k - 1 else 0)):
-            if (sat[v] >> c) & 1:
+            color = 1 << c
+            if sat[v] & color:
                 continue
             colors[v] = c
             touched = []
             for u in bits(rows[v]):
-                if colors[u] == -1 and not (sat[u] >> c) & 1:
-                    sat[u] |= 1 << c
+                if colors[u] == -1 and not sat[u] & color:
+                    sat[u] |= color
+                    key[u] += _SAT
                     touched.append(u)
             bnb(colored + 1, max(used, c + 1))
             for u in touched:
-                sat[u] &= ~(1 << c)
+                sat[u] ^= color
+                key[u] -= _SAT
             colors[v] = -1
+        left.insert(i, v)
 
     try:
         bnb(len(clique), len(clique))

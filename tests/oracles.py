@@ -3,10 +3,11 @@
 Everything here is deliberately naive: exhaustive enumeration over set
 partitions, vertex subsets, center combinations, and vertex bijections.
 None of it shares code paths with the library's search routines, except
-``subset_profile_oracle``, which replays the unpruned subset loop over the
-library's own per-subset quantities, and ``doubling_dimension_class_cached``,
-which covers balls with the library's exact ``_min_cover`` (itself pinned
-against ``covering_number_brute``).
+the subset-profile references, which take the library's hop balls,
+diameters and exact ``independence_number`` (pinned against
+``independence_nodes_oracle``) as given, and
+``doubling_dimension_class_cached``, which covers balls with the library's
+exact ``_min_cover`` (itself pinned against ``covering_number_brute``).
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ import math
 import numpy as np
 from scipy.sparse.csgraph import shortest_path
 
-from presdim import bounds
 from presdim.config import DEFAULT_LIMITS
-from presdim.graph import Graph, diameter, rng_for
+from presdim.graph import Graph, ball_matrices, connected_components, diameter, rng_for
 from presdim.metric import PointSet, _min_cover, _row_masks
-from presdim.partition import neighborhood_class_count
+from presdim.partition import SearchBudgetExceeded, independence_number, neighborhood_class_count
 
 
 def set_partitions(items: list[int]):
@@ -685,12 +685,9 @@ def _dsatur_pick_oracle(rows, colors, sat) -> int:
     return v
 
 
-def _coloring_oracle(rows) -> list[int]:
-    """Optimal coloring by DSATUR-ordered branch and bound, seeded with the
-    DSATUR greedy and a greedy clique; no node budget."""
+def dsatur_greedy_oracle(rows) -> list[int]:
+    """Greedy DSATUR colors, each pick a scan over every vertex."""
     n = len(rows)
-    if n == 0:
-        return []
     colors, sat = [-1] * n, [0] * n
     for _ in range(n):
         v = _dsatur_pick_oracle(rows, colors, sat)
@@ -700,18 +697,32 @@ def _coloring_oracle(rows) -> list[int]:
         colors[v] = c
         for u in _bit_list(rows[v]):
             sat[u] |= 1 << c
+    return colors
+
+
+def coloring_nodes_oracle(rows) -> tuple[list[int], int]:
+    """(colors, branch-and-bound nodes) of an optimal coloring by
+    DSATUR-ordered branch and bound, seeded with the DSATUR greedy and a
+    greedy clique; no node budget."""
+    n = len(rows)
+    if n == 0:
+        return [], 0
+    colors = dsatur_greedy_oracle(rows)
     best, best_k = colors, max(colors) + 1
     clique = _bit_list(_greedy_clique_rows(rows, (1 << n) - 1))
     if best_k == len(clique):
-        return best
+        return best, 0
     colors, sat = [-1] * n, [0] * n
     for c, v in enumerate(clique):
         colors[v] = c
         for u in _bit_list(rows[v]):
             sat[u] |= 1 << c
 
+    nodes = 0
+
     def bnb(colored: int, used: int) -> bool:
-        nonlocal best, best_k
+        nonlocal best, best_k, nodes
+        nodes += 1
         if used >= best_k:
             return False
         if colored == n:
@@ -734,13 +745,13 @@ def _coloring_oracle(rows) -> list[int]:
         return False
 
     bnb(len(clique), len(clique))
-    return best
+    return best, nodes
 
 
 def clique_cover_oracle(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Blocks of the minimum clique partition, as an optimal coloring of the
     complement Graph, sorted and ordered by their minimum member."""
-    colors = _coloring_oracle(complement_graph_oracle(g).rows)
+    colors = coloring_nodes_oracle(complement_graph_oracle(g).rows)[0]
     groups = [tuple(v for v in range(g.n) if colors[v] == c) for c in range(max(colors, default=-1) + 1)]
     return tuple(sorted((b for b in groups if b), key=lambda b: b[0]))
 
@@ -777,16 +788,93 @@ def alpha2_feasible_oracle(g: Graph) -> bool:
     return True
 
 
+# -- the subset profile on each induced subgraph's own bit rows ---------------
+# The candidate pool and the partition floors as they ran before they read the
+# parent graph's bit rows: candidates deduplicated as frozensets, every greedy
+# bound computed on G|U with the reference greedy clique and DSATUR loops.
+
+
+_BALL_RADII = (1, 2, 3)
+
+
+def candidate_subsets_oracle(g: Graph, extra=None) -> list[list[int]]:
+    seen, out = set(), []
+
+    def add(vertices) -> None:
+        key = frozenset(vertices)
+        if len(key) >= 2 and key not in seen:
+            seen.add(key)
+            out.append(sorted(key))
+
+    for comp in connected_components(g):
+        add(comp)
+    balls = ball_matrices(g, max(_BALL_RADII))
+    for v in range(g.n):
+        for rad in _BALL_RADII:
+            add(np.flatnonzero(balls[rad - 1][v]).tolist())
+    for subset in extra or ():
+        add(subset)
+    return out
+
+
+def _dsatur_size_oracle(sub: Graph) -> int:
+    return max(dsatur_greedy_oracle(sub.rows)) + 1
+
+
+def partition_floor_oracle(sub: Graph, limits=DEFAULT_LIMITS) -> tuple[float, bool]:
+    """(floor, exact) of ``bounds._partition_floor`` on G|U alone."""
+    if sub.n <= limits.exact_cover:
+        return float(len(clique_cover_oracle(sub))), True
+    try:
+        iota, exact = independence_number(sub, mode="exact", budget=limits.clique_budget), True
+    except SearchBudgetExceeded:
+        iota = _greedy_clique_rows(complement_graph_oracle(sub).rows, (1 << sub.n) - 1).bit_count()
+        exact = False
+    return float(max(iota, sub.n / _dsatur_size_oracle(sub))), exact
+
+
+def floor_at_most_oracle(sub: Graph, bar: float, limits=DEFAULT_LIMITS) -> bool:
+    """``bounds._floor_at_most`` on G|U alone."""
+    full = (1 << sub.n) - 1
+    if sub.n <= limits.exact_cover:
+        blocks, rest = 0, full
+        while rest:
+            rest &= ~_greedy_clique_rows(sub.rows, rest)
+            blocks += 1
+        return blocks <= bar
+    clique = _greedy_clique_rows(sub.rows, full).bit_count()
+    return sub.n / clique <= bar or sub.n / _dsatur_size_oracle(sub) <= bar
+
+
+def subset_profile_reference(g: Graph, subsets=None, limits=DEFAULT_LIMITS) -> list[tuple]:
+    """``bounds.subset_profile``, dominance pruning included, on the
+    references above."""
+    profile, exact_entries = [], []
+    for subset in sorted(candidate_subsets_oracle(g, subsets), key=len, reverse=True):
+        sub = g.induced(subset)
+        diam = diameter(sub)
+        if not (math.isfinite(diam) and diam >= 1):
+            continue
+        mask = sum(1 << v for v in subset)
+        bars = [floor for held, d, floor in exact_entries if mask & ~held == 0 and d <= diam]
+        if bars and floor_at_most_oracle(sub, max(bars), limits):
+            continue
+        floor, exact = partition_floor_oracle(sub, limits)
+        profile.append((diam, floor, neighborhood_class_count(g, subset)))
+        if exact:
+            exact_entries.append((mask, diam, floor))
+    return profile
+
+
 def subset_profile_oracle(g: Graph, subsets=None, limits=DEFAULT_LIMITS) -> list[tuple]:
     """``bounds.subset_profile`` without dominance pruning: one entry per
-    connected candidate of diameter >= 1, in candidate order. It shares the
-    candidates and the per-subset floor with the library on purpose, so that
-    a mismatch can only come from the pruning."""
+    connected candidate of diameter >= 1, in candidate order, on the
+    references above."""
     profile = []
-    for subset in bounds._candidate_subsets(g, subsets):
+    for subset in candidate_subsets_oracle(g, subsets):
         sub = g.induced(subset)
         diam = diameter(sub)
         if math.isfinite(diam) and diam >= 1:
-            floor = bounds._partition_floor(sub, limits)[0]
+            floor = partition_floor_oracle(sub, limits)[0]
             profile.append((diam, floor, neighborhood_class_count(g, subset)))
     return profile

@@ -36,7 +36,7 @@ from presdim.graph import (
 )
 from presdim.partition import clique_cover, neighborhood_class_count
 
-from oracles import random_graph, subset_profile_oracle
+from oracles import candidate_subsets_oracle, random_graph, subset_profile_oracle, subset_profile_reference
 
 
 def test_lower_clique_partition_star100():
@@ -268,7 +268,9 @@ def test_report_and_sweep_enumerate_the_candidates_once(monkeypatch):
 # The tight limits make exact independence searches run out of budget, so the
 # greedy fallback fires; an entry with such a floor must prune nothing. The
 # examples are graphs on which pruning by a fallback floor (first) or without
-# the floor test (second) changes the bounds.
+# the floor test (second) changes the bounds, and two on which |U| / DSATUR
+# colors beats a greedy iota. The entries themselves must equal those of the
+# reference, which computes every greedy bound on G|U's own rows.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     n=st.integers(2, 40),
@@ -279,15 +281,30 @@ def test_report_and_sweep_enumerate_the_candidates_once(monkeypatch):
 )
 @example(n=16, p=0.36, seed=6, subsets=[], levels=[0.5, 1.5])
 @example(n=21, p=0.85, seed=28, subsets=[], levels=[0.5, 1.5])
+@example(n=16, p=0.6388809962673293, seed=1315, subsets=[], levels=[0.5, 1.5])
+@example(n=28, p=0.6435608885818369, seed=2072, subsets=[], levels=[0.5, 1.5])
 def test_pruned_profile_gives_the_unpruned_lower_bounds(n, p, seed, subsets, levels):
     g = random_graph(n, p, np.random.default_rng(seed))
     subsets = [[v % n for v in subset] for subset in subsets]
+    assert bounds._candidate_subsets(g, subsets) == candidate_subsets_oracle(g, subsets)
     tight = (Limits(exact_cover=4, clique_budget=30), Limits(exact_cover=0, clique_budget=5))
     for limits in (Limits(), *tight):
         pruned = bounds.subset_profile(g, subsets, limits)
+        assert pruned == subset_profile_reference(g, subsets, limits), limits
         full = subset_profile_oracle(g, subsets, limits)
         for alpha in levels:
             assert profile_lower(pruned, alpha) == profile_lower(full, alpha), (limits, alpha)
+
+
+def test_repeated_user_vertices_collapse():
+    g = gen_named("path", 6)  # {1, 2} is no component and no ball
+    base = bounds._candidate_subsets(g, None)
+    assert [1, 2] not in base
+    for subsets in ([[1, 1, 2]], [[2, 1, 1], [1, 2]], [[1, 2], [2, 2, 1, 1]]):
+        assert bounds._candidate_subsets(g, subsets) == base + [[1, 2]]
+        assert bounds._candidate_subsets(g, subsets) == candidate_subsets_oracle(g, subsets)
+        assert bounds.subset_profile(g, subsets) == bounds.subset_profile(g, [[1, 2]])
+    assert bounds._candidate_subsets(g, [[3, 3], [0, 1, 1]]) == base  # a single vertex; a ball
 
 
 def test_profile_skips_the_candidates_the_component_dominates(monkeypatch):

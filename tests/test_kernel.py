@@ -4,6 +4,7 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -169,6 +170,15 @@ def test_matrix_is_read_only():
     g = gen_named("cycle", 5)
     with pytest.raises(ValueError):
         g.matrix[0, 2] = True
+
+
+@pytest.mark.parametrize("g", [gen_gnp(6, 0.5, 1), gen_planted_partition([3, 4], 0.8, 0.2, 5), gen_gnp(0, 0.5, 0)])
+def test_pickle_round_trip_keeps_the_matrix_read_only(g):
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and hash(back) == hash(g) and back.blocks == g.blocks
+    assert not back.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        back.matrix[..., :1] = True
 
 
 @pytest.mark.parametrize("k", [6, 8])

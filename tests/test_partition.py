@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presdim.graph import from_edge_list, gen_gnp, gen_named
 from presdim.partition import (
     SearchBudgetExceeded,
+    _dsatur_greedy,
+    _greedy_clique_mask,
     clique_cover,
     clique_number,
     format_partition,
@@ -15,6 +19,11 @@ from presdim.partition import (
 )
 
 from oracles import (
+    _greedy_clique_rows,
+    clique_cover_oracle,
+    coloring_nodes_oracle,
+    complement_graph_oracle,
+    dsatur_greedy_oracle,
     is_clique,
     max_clique_brute,
     max_independent_brute,
@@ -160,3 +169,45 @@ def test_cover_no_larger_than_class_count():
 def test_format_partition():
     text = format_partition(clique_cover(gen_named("empty", 3)))
     assert text.splitlines() == ["block_0: 0", "block_1: 1", "block_2: 2"]
+
+
+@st.composite
+def graphs_and_masks(draw):
+    """A random graph and a random vertex mask of it."""
+    n = draw(st.integers(0, 40))
+    p = draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.85, 1.0)))  # dense graphs tie at the top degree
+    g = random_graph(n, p, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    return g, draw(st.integers(0, (1 << n) - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_masks())
+def test_greedy_clique_mask_equals_the_full_scan(case):
+    g, mask = case
+    assert _greedy_clique_mask(g.rows, mask) == _greedy_clique_rows(g.rows, mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_masks())
+def test_dsatur_colors_equal_the_per_vertex_loop(case):
+    g, mask = case
+    vertices = [v for v in range(g.n) if (mask >> v) & 1]
+    sub = g.induced(vertices)
+    want = dsatur_greedy_oracle(sub.rows)
+    # on the parent's rows read inside the mask, and on the induced rows
+    assert [_dsatur_greedy(g.rows, mask)[v] for v in vertices] == want
+    assert _dsatur_greedy(sub.rows, (1 << sub.n) - 1) == want
+
+
+def test_exact_clique_cover_needs_the_reference_budget():
+    rng = np.random.default_rng(12)
+    searched = 0
+    for trial in range(60):
+        g = random_graph(int(rng.integers(8, 21)), float(rng.uniform(0.3, 0.7)), rng)
+        nodes = coloring_nodes_oracle(complement_graph_oracle(g).rows)[1]
+        assert clique_cover(g, mode="exact", budget=nodes).blocks == clique_cover_oracle(g), trial
+        if nodes:
+            searched += 1
+            with pytest.raises(SearchBudgetExceeded):
+                clique_cover(g, mode="exact", budget=nodes - 1)
+    assert searched >= 20
