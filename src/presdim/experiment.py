@@ -71,7 +71,9 @@ class TrialRecord:
 
 
 def _run(fn: Callable, args: list, jobs: int) -> list:
-    if jobs <= 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1:
         return [fn(a) for a in args]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         chunk = max(1, len(args) // (jobs * 4))
@@ -112,6 +114,8 @@ def _trial_clique(args: tuple) -> int:
 def mc_clique_number(n: int, trials: int, seed: int, jobs: int = 1) -> MCResult:
     """Frequency of clique number >= ceil(2 sqrt(n)) in G(n, 1/2) against the
     first-moment ceiling n^m 2^(-C(m,2))."""
+    if n < 1:
+        raise ValueError(f"clique experiment needs n >= 1, got n={n}")
     if trials < 1:
         raise ValueError("need at least one trial")
     m = math.ceil(2.0 * math.sqrt(n))
@@ -148,6 +152,8 @@ def mc_theorem2(
     The formula's guarantee holds in the n >= 82 regime; smaller n is
     reported without asserting the floor.
     """
+    if n < 2:
+        raise ValueError(f"theorem 2 needs n >= 2, got n={n}")
     if trials < 1:
         raise ValueError("need at least one trial")
     if not 0 < alpha < 2:

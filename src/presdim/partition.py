@@ -3,9 +3,12 @@
 The minimum clique partition is computed as an optimal coloring of the
 complement graph (a DSATUR-ordered branch and bound seeded with a greedy
 clique lower bound); the clique number uses a bitset branch and bound with
-a greedy-coloring prune. Exact modes are gated by size limits and node
-budgets; greedy modes return valid partitions / one-sided bounds and are
-intended for bound reporting at larger sizes.
+a greedy-coloring prune. That search peels the color classes that cannot
+branch (size + class <= best clique) without recording their vertices, and
+grows each class from a table of non-neighbor rows built once per search.
+Exact modes are gated by size limits and node budgets; greedy modes return
+valid partitions / one-sided bounds and are intended for bound reporting at
+larger sizes.
 """
 
 from __future__ import annotations
@@ -148,15 +151,24 @@ def greedy_coloring_size(g: Graph) -> int:
 
 def _max_clique_mask(a: np.ndarray, budget: int | None = None) -> int:
     """Branch and bound with a greedy-coloring bound (bitset candidate sets)
-    on boolean adjacency ``a``, vertices taken by nonincreasing degree."""
+    on boolean adjacency ``a``, vertices taken by nonincreasing degree.
+
+    Each node colors its candidates greedily, class by class, and branches on
+    them from the last class down while size + class exceeds the best clique.
+    Classes 1 .. best - size can never pass that test (``best`` only grows),
+    so they are peeled off the candidates without recording their vertices.
+    A class is grown with one AND per vertex against a table of non-neighbor
+    rows built once per search."""
     n = len(a)
     if n == 0:
         return 0
     budget = DEFAULT_LIMITS.clique_budget if budget is None else budget
     order = np.argsort(-np.count_nonzero(a, axis=1), kind="stable").tolist()
     rr = _pack_rows(a[np.ix_(order, order)])
+    full = (1 << n) - 1
+    non = [full ^ (row | 1 << v) for v, row in enumerate(rr)]
 
-    best_mask = _greedy_clique_mask(rr, (1 << n) - 1)
+    best_mask = _greedy_clique_mask(rr, full)
     best = best_mask.bit_count()
     nodes = 0
 
@@ -167,9 +179,17 @@ def _max_clique_mask(a: np.ndarray, budget: int | None = None) -> int:
             raise SearchBudgetExceeded(f"max-clique budget {budget} exhausted")
         # Greedy color classes of cand; the color index bounds the clique
         # extension available at each vertex.
-        stack: list[tuple[int, int]] = []
         rest = cand
-        c = 0
+        c = max(best - size, 0)
+        for _ in range(c):
+            if not rest:
+                return
+            q = rest
+            while q:
+                low = q & -q
+                rest ^= low
+                q &= non[low.bit_length() - 1]
+        stack: list[tuple[int, int]] = []
         while rest:
             c += 1
             q = rest
@@ -178,8 +198,7 @@ def _max_clique_mask(a: np.ndarray, budget: int | None = None) -> int:
                 v = low.bit_length() - 1
                 stack.append((v, c))
                 rest ^= low
-                q &= ~rr[v]
-                q ^= low
+                q &= non[v]
         for v, col in reversed(stack):
             if size + col <= best:
                 return

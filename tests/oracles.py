@@ -665,6 +665,54 @@ def max_clique_nodes_oracle(g: Graph) -> tuple[int, int]:
     return best, nodes
 
 
+def max_clique_mask_oracle(a: np.ndarray, budget: int | None = None) -> tuple[int, int]:
+    """(clique mask in ``a``'s labels, branch-and-bound nodes) of the same
+    search with every color class recorded in full: each vertex of each class
+    goes on the stack with its class index, and a class grows by clearing
+    the vertex's neighbors and then the vertex itself. Raises
+    ``SearchBudgetExceeded`` once the node count passes ``budget``."""
+    n = len(a)
+    if n == 0:
+        return 0, 0
+    rows = [sum(1 << u for u in range(n) if a[v][u]) for v in range(n)]
+    order = sorted(range(n), key=lambda v: (-rows[v].bit_count(), v))
+    rr = [sum(1 << i for i, u in enumerate(order) if a[v][u]) for v in order]
+    best_mask = _greedy_clique_rows(rr, (1 << n) - 1)
+    best = best_mask.bit_count()
+    nodes = 0
+
+    def expand(current: int, size: int, cand: int) -> None:
+        nonlocal best, best_mask, nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise SearchBudgetExceeded(f"max-clique budget {budget} exhausted")
+        stack = []
+        rest, c = cand, 0
+        while rest:
+            c += 1
+            q = rest
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
+                stack.append((v, c))
+                rest ^= low
+                q &= ~rr[v]
+                q ^= low
+        for v, col in reversed(stack):
+            if size + col <= best:
+                return
+            newcand = cand & rr[v]
+            if newcand:
+                expand(current | (1 << v), size + 1, newcand)
+            elif size + 1 > best:
+                best = size + 1
+                best_mask = current | (1 << v)
+            cand &= ~(1 << v)
+
+    expand(0, 0, (1 << n) - 1)
+    return sum(1 << order[i] for i in _bit_list(best_mask)), nodes
+
+
 def complement_graph_oracle(g: Graph) -> Graph:
     """The complement as a validated Graph, built from the bit rows."""
     full = (1 << g.n) - 1

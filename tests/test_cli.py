@@ -264,6 +264,25 @@ def test_experiment_out_of_range_parameters_exit_two(argv):
     assert main(["experiment", *argv, "--n", "12", "--trials", "2", "--seed", "1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kind", "clique", "--n", "0"], "needs n >= 1, got n=0"),
+        (["--kind", "clique", "--n", "-3"], "needs n >= 1, got n=-3"),
+        (["--kind", "theorem2", "--n", "0"], "needs n >= 2, got n=0"),
+        (["--kind", "theorem2", "--n", "1"], "needs n >= 2, got n=1"),
+        (["--kind", "diameter2", "--n", "8", "--jobs", "0"], "jobs must be at least 1, got 0"),
+        (["--kind", "clique", "--n", "8", "--jobs", "-1"], "jobs must be at least 1, got -1"),
+    ],
+    ids=["clique-n0", "clique-negative-n", "theorem2-n0", "theorem2-n1", "jobs0", "negative-jobs"],
+)
+def test_experiment_rejects_tiny_n_and_jobs_below_one(argv, message, capsys):
+    assert main(["experiment", *argv, "--trials", "2", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_planted_sweep_without_k_exits_two(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("family=planted\nn=8\ntrials=1\nseed=3\nalpha_grid=1.5\np=0.9\nq=0.1\n")
