@@ -6,9 +6,9 @@ balls, user-supplied sets): any connected subset yields a valid bound, so the
 heuristic subset pool is sound, merely possibly loose. The level-free subset
 profile holds only the undominated candidates. A subset inside an already
 profiled one with an exactly computed floor, of no smaller diameter and with
-a floor provably no larger, cannot raise either bound at any level; its
-exact search is skipped, and the maxima over the profile equal those over
-every candidate.
+a floor provably no larger, cannot raise either bound at any level, as the
+class count only grows with the subset; its exact search is skipped, and the
+maxima over the profile equal those over every candidate.
 
 Upper bounds evaluate the ceiling rules of ``construct.CONSTRUCTIONS`` on the
 graph's level-free ``construct.GraphFacts``, and a report can cross-validate
@@ -41,10 +41,11 @@ __all__ = [
     "LowerBound",
     "UpperBound",
     "BoundReport",
+    "GraphAnalysis",
+    "graph_analysis",
     "lower_clique_partition",
     "lower_neighborhood",
     "upper_bounds",
-    "upper_bounds_from_facts",
     "theorem_formulas",
     "report",
     "report_to_json",
@@ -140,24 +141,10 @@ def _floor_at_most(rows: Sequence[int], cand: int, bar: float, limits: Limits) -
     return blocks <= bar
 
 
-def subset_profile(
-    g: Graph,
-    subsets: Sequence[Sequence[int]] | None = None,
-    limits: Limits = DEFAULT_LIMITS,
-) -> list[tuple[float, float, int]]:
-    """The level-free part of both lower bounds: ``(diam, partition_floor,
-    class_count)`` per undominated connected candidate subset U with
-    diam(G|U) >= 1, each candidate induced once.
-
-    Candidates are taken largest first. U is skipped when an entry V with an
-    exact floor already holds it, has diameter at most diam(G|U), and
-    provably has floor(U) <= floor(V): the class count only grows with the
-    subset, so U's terms are at most V's at every level in (0, 2). The
-    ``profile_lower`` maxima are those over every candidate; only the number
-    of entries falls.
-    """
-    profile = []
-    exact_entries: list[tuple[int, float, float]] = []  # (vertex mask, diam, floor)
+def _profile_entries(g: Graph, subsets: Sequence[Sequence[int]] | None, limits: Limits) -> list[tuple]:
+    """``subset_profile`` with U's vertex mask before and the floor's exactness
+    after each entry; largest candidates first, so U's dominators come before it."""
+    entries: list[tuple[int, float, float, int, bool]] = []
     rows = g.rows
     for subset in sorted(_candidate_subsets(g, subsets), key=len, reverse=True):
         sub = g.induced(subset)
@@ -165,14 +152,25 @@ def subset_profile(
         if not (math.isfinite(diam) and diam >= 1):
             continue
         mask = sum(1 << v for v in subset)
-        bars = [floor for held, d, floor in exact_entries if mask & ~held == 0 and d <= diam]
+        bars = [floor for held, d, floor, _, exact in entries if exact and mask & ~held == 0 and d <= diam]
         if bars and _floor_at_most(rows, mask, max(bars), limits):
             continue
         floor, exact = _partition_floor(sub, rows, mask, limits)
-        profile.append((diam, floor, neighborhood_class_count(g, subset)))
-        if exact:
-            exact_entries.append((mask, diam, floor))
-    return profile
+        entries.append((mask, diam, floor, neighborhood_class_count(g, subset), exact))
+    return entries
+
+
+def subset_profile(
+    g: Graph,
+    subsets: Sequence[Sequence[int]] | None = None,
+    limits: Limits = DEFAULT_LIMITS,
+) -> list[tuple[float, float, int]]:
+    """The level-free part of both lower bounds: ``(diam, partition_floor,
+    class_count)`` per undominated connected candidate subset U with
+    diam(G|U) >= 1, each candidate induced once. The ``profile_lower``
+    maxima are those over every candidate; only the number of entries falls.
+    """
+    return [entry[1:4] for entry in _profile_entries(g, subsets, limits)]
 
 
 def profile_lower(profile: Sequence[tuple[float, float, int]], alpha: float) -> tuple[float, float]:
@@ -222,6 +220,13 @@ def lower_neighborhood(
 # -- upper bound formulas --------------------------------------------------------
 
 
+def _ceilings(facts: GraphFacts, alpha: float) -> tuple[list[UpperBound], list[tuple[str, str]]]:
+    """The table's ceilings on one graph's facts at alpha, and (tag, reason) per omitted rule."""
+    rules = [(row.tag, *row.ceiling(facts, alpha)) for row in CONSTRUCTIONS if row.ceiling is not None]
+    ups = [UpperBound(tag, value, constructive=True, note=text) for tag, value, text in rules if value is not None]
+    return ups, [(tag, text) for tag, value, text in rules if value is None]
+
+
 def upper_bounds(
     g: Graph,
     alpha: float,
@@ -234,24 +239,43 @@ def upper_bounds(
     """
     if not 0 < alpha < 2:
         raise ValueError("upper bounds cover alpha in (0, 2)")
-    return upper_bounds_from_facts(graph_facts(g, limits), alpha)
+    return _ceilings(graph_facts(g, limits), alpha)
 
 
-def upper_bounds_from_facts(
-    facts: GraphFacts, alpha: float
-) -> tuple[list[UpperBound], list[tuple[str, str]]]:
-    """``upper_bounds`` on facts computed once per graph, for alpha in (0, 2)."""
-    ups: list[UpperBound] = []
-    omitted: list[tuple[str, str]] = []
-    for row in CONSTRUCTIONS:
-        if row.ceiling is None:
-            continue
-        value, text = row.ceiling(facts, alpha)
-        if value is None:
-            omitted.append((row.tag, text))
-        else:
-            ups.append(UpperBound(row.tag, value, constructive=True, note=text))
-    return ups, omitted
+@dataclass(frozen=True)
+class GraphAnalysis:
+    """The level-free part of one graph's bounds. ``iota`` is ι(G) where the
+    profile's whole-graph entry (G connected, above ``limits.exact_cover``
+    vertices) ran the exact independence search; ``iota_spent``: it ran out of budget."""
+
+    profile: tuple[tuple[float, float, int], ...]  # the ``subset_profile`` entries
+    facts: GraphFacts
+    diameter: float
+    iota: int | None
+    iota_spent: bool
+
+    def lower_bounds(self, alpha: float) -> tuple[float, float]:  # as ``profile_lower``
+        return profile_lower(self.profile, alpha)
+
+    def upper_bounds(self, alpha: float) -> tuple[list[UpperBound], list[tuple[str, str]]]:  # alpha in (0, 2)
+        return _ceilings(self.facts, alpha)
+
+
+def graph_analysis(
+    g: Graph, subsets: Sequence[Sequence[int]] | None = None, limits: Limits = DEFAULT_LIMITS
+) -> GraphAnalysis:
+    """The level-free analysis of g, each of its searches run once."""
+    entries = _profile_entries(g, subsets, limits)
+    whole = entries[0] if entries and entries[0][0] == (1 << g.n) - 1 else None
+    diam = whole[1] if whole else (math.inf if g.n > 1 else diameter(g))  # else disconnected or n <= 1
+    searched = whole is not None and g.n > limits.exact_cover
+    return GraphAnalysis(
+        profile=tuple(entry[1:4] for entry in entries),
+        facts=graph_facts(g, limits),
+        diameter=diam,
+        iota=int(whole[2]) if searched and whole[4] else None,
+        iota_spent=searched and not whole[4],
+    )
 
 
 # -- named theorem formulas -------------------------------------------------------
@@ -403,61 +427,34 @@ def report(
     """
     if not alpha > 0:  # NaN too, before the subset profile is built
         raise ValueError("alpha must be positive")
-    if alpha >= 2:
-        feasible = alpha2_feasible(g)
-        if not feasible:
-            return BoundReport(
-                graph_digest=g.digest(),
-                alpha=alpha,
-                feasible=False,
-                lower_bounds=(),
-                upper_bounds=(),
-                omitted=(),
-                interval=None,
-                notes=("levels >= 2 need every component to induce a clique",),
-            )
-        ncomp = len(connected_components(g))
-        value = 2.0 if ncomp > 1 else 0.0
-        return BoundReport(
-            graph_digest=g.digest(),
-            alpha=alpha,
-            feasible=True,
-            lower_bounds=(LowerBound("trivial_nonneg", 0.0),),
-            upper_bounds=(
-                UpperBound(
-                    "point_per_clique_component",
-                    value,
-                    constructive=True,
-                    note="clique components collapse to separated points on a line",
-                ),
-            ),
-            omitted=(),
-            interval=(0.0, value),
-            notes=(),
-        )
+    feasible = alpha < 2 or alpha2_feasible(g)
+    lowers = [LowerBound("trivial_nonneg", 0.0)] if feasible else []
+    ups, omitted = [], []
+    if alpha < 2:
+        analysis = graph_analysis(g, subsets, limits)
+        lc, ln = analysis.lower_bounds(alpha)
+        lowers.append(LowerBound("clique_partition_cover", lc))
+        if alpha > 1:
+            lowers.append(LowerBound("neighborhood_classes", ln))
+        ups, omitted = analysis.upper_bounds(alpha)
+        if validate is None:
+            validate = g.n <= VALIDATION_LIMIT
+        if validate:
+            ups = [_validated(g, alpha, ub, limits) for ub in ups]
+    elif feasible:
+        value = 2.0 if len(connected_components(g)) > 1 else 0.0
+        note = "clique components collapse to separated points on a line"
+        ups = [UpperBound("point_per_clique_component", value, constructive=True, note=note)]
 
-    lc, ln = profile_lower(subset_profile(g, subsets, limits), alpha)
-    lowers = [LowerBound("trivial_nonneg", 0.0), LowerBound("clique_partition_cover", lc)]
-    if alpha > 1:
-        lowers.append(LowerBound("neighborhood_classes", ln))
-
-    ups, omitted = upper_bounds(g, alpha, limits=limits)
-    if validate is None:
-        validate = g.n <= VALIDATION_LIMIT
-    if validate:
-        ups = [_validated(g, alpha, ub, limits) for ub in ups]
-
-    max_lower = max(lb.value for lb in lowers)
-    min_upper = min(ub.value for ub in ups)
     return BoundReport(
         graph_digest=g.digest(),
         alpha=alpha,
-        feasible=True,
+        feasible=feasible,
         lower_bounds=tuple(lowers),
         upper_bounds=tuple(ups),
         omitted=tuple(omitted),
-        interval=(max_lower, min_upper),
-        notes=(),
+        interval=(max(lb.value for lb in lowers), min(ub.value for ub in ups)) if feasible else None,
+        notes=() if feasible else ("levels >= 2 need every component to induce a clique",),
     )
 
 

@@ -25,6 +25,7 @@ from .graph import (
     require_seed,
     write_edge_list,
 )
+from .partition import SearchBudgetExceeded
 
 __all__ = ["main"]
 
@@ -203,7 +204,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (GenerationError, construct.JLProjectionError) as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

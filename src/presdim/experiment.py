@@ -21,15 +21,13 @@ from .bounds import (
     clique_number_markov_ceiling,
     cluster_saliency,
     diameter2_probability_floor,
+    graph_analysis,
     planted_recovery_floor,
-    profile_lower,
-    subset_profile,
     theorem_formulas,
-    upper_bounds_from_facts,
 )
-from .construct import graph_facts
+from .config import DEFAULT_LIMITS
 from .graph import derive_seed, diameter, gen_family, gen_gnp, gen_planted_partition, planted_sizes
-from .partition import clique_number, independence_number, neighborhood_class_count
+from .partition import SearchBudgetExceeded, clique_number, independence_number, neighborhood_class_count
 
 __all__ = [
     "MCResult",
@@ -91,6 +89,8 @@ def _trial_diameter2(args: tuple) -> bool:
 def mc_diameter2(n: int, q: float, trials: int, seed: int, jobs: int = 1) -> MCResult:
     """Fraction of G(n, q) samples with diameter <= 2 against the union-bound
     floor 1 - n^2 exp(-q^2 (n-1)) (clamped when vacuous)."""
+    if n < 1:
+        raise ValueError(f"diameter2 experiment needs n >= 1, got n={n}")
     if trials < 1:
         raise ValueError("need at least one trial")
     hits = sum(_run(_trial_diameter2, [(n, q, seed, t) for t in range(trials)], jobs))
@@ -285,6 +285,11 @@ def sweep(config: dict, jobs: int = 1) -> list[TrialRecord]:
         alphas = [float(tok) for tok in str(config.get("alpha_grid", "1.0")).split(",") if tok]
     except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed sweep config: {exc}") from exc
+    if n < 1:
+        raise ValueError(f"sweep needs n >= 1, got n={n}")
+    for alpha in alphas:
+        if not alpha > 0:  # NaN too
+            raise ValueError(f"alpha must be positive, got alpha={alpha}")
     p = float(config.get("p", 0.5))
     q = float(config.get("q", 0.0))
     k = int(config.get("k", 0))
@@ -297,18 +302,20 @@ def _sweep_trial(args: tuple) -> list[TrialRecord]:
     family, n, p, q, k, seed, t, alphas = args
     trial_seed = derive_seed(seed, t)
     g = gen_family(family, n, p, q, k, trial_seed)
-    diam = diameter(g)
+    analysis = graph_analysis(g)
     clique_mode = "exact" if g.n <= 128 else "greedy"
     kappa = clique_number(g, mode=clique_mode)
-    iota = independence_number(g, mode=clique_mode)
-    facts = graph_facts(g)
-    profile = subset_profile(g) if any(0 < alpha < 2 for alpha in alphas) else []
+    if clique_mode == "exact" and analysis.iota_spent:  # the same search on the same graph
+        raise SearchBudgetExceeded(f"max-clique budget {DEFAULT_LIMITS.clique_budget} exhausted")
+    iota = analysis.iota if clique_mode == "exact" else None
+    if iota is None:
+        iota = independence_number(g, mode=clique_mode)
     records = []
     for alpha in alphas:
         lower_cp, lower_nb, upper_min = -math.inf, -math.inf, math.inf
         if 0 < alpha < 2:
-            lower_cp, lower_nb = profile_lower(profile, alpha)
-            upper_min = min(ub.value for ub in upper_bounds_from_facts(facts, alpha)[0])
+            lower_cp, lower_nb = analysis.lower_bounds(alpha)
+            upper_min = min(ub.value for ub in analysis.upper_bounds(alpha)[0])
         row = {
             "family": family,
             "n": n,
@@ -318,14 +325,14 @@ def _sweep_trial(args: tuple) -> list[TrialRecord]:
             "alpha": alpha,
             "trial": t,
             "trial_seed": trial_seed,
-            "diameter": diam,
+            "diameter": analysis.diameter,
             "max_degree": g.max_degree(),
             "clique_number": kappa,
             "independence_number": iota,
             "clique_mode": clique_mode,
-            "cover_size": facts.cover.size,
-            "cover_mode": facts.cover.mode,
-            "n_classes": facts.quotient.n,
+            "cover_size": analysis.facts.cover.size,
+            "cover_mode": analysis.facts.cover.mode,
+            "n_classes": analysis.facts.quotient.n,
             "lower_clique_partition": lower_cp,
             "lower_neighborhood": lower_nb,
             "upper_min": upper_min,

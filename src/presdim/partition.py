@@ -32,7 +32,6 @@ __all__ = [
     "independence_number",
     "max_clique",
     "greedy_clique",
-    "greedy_coloring_size",
     "format_partition",
 ]
 
@@ -139,11 +138,6 @@ def _dsatur_greedy(rows: Sequence[int], cand: int) -> list[int]:
                 sat[u] |= color
                 key[u] += _SAT
     return colors
-
-
-def greedy_coloring_size(g: Graph) -> int:
-    """Number of colors the DSATUR greedy uses on g (upper bound on chi)."""
-    return max(_dsatur_greedy(g.rows, (1 << g.n) - 1), default=-1) + 1
 
 
 # -- exact maximum clique ----------------------------------------------------

@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -432,3 +433,48 @@ def test_sweep_and_report_output_is_pinned():
             for alpha in (0.5, 0.8, 1.0, 1.5, 1.9, 2.0)
         )
         assert _sha256(docs) == GOLDEN_REPORTS[mode], mode
+
+
+def test_sweep_reads_the_profiles_independence_search(monkeypatch):
+    searches = _counted(monkeypatch, partition, "independence_number")
+    counted, profile = bounds.independence_number, []
+    monkeypatch.setattr(bounds, "independence_number", lambda *a, **kw: profile.append(1) or counted(*a, **kw))
+    records = sweep({"family": "gnp", "n": 60, "trials": 2, "alpha_grid": "0.5,1.5"})
+    assert len(searches) == 2  # one per trial; the sweep used to repeat it for its column
+    assert len(profile) == 2  # each of them the profile's
+    monkeypatch.undo()
+    for t in range(2):
+        g = gen_gnp(60, 0.5, graph.derive_seed(0, t))
+        assert records[2 * t].row["independence_number"] == partition.independence_number(g)
+
+
+def test_sweep_raises_at_once_when_the_profiles_search_is_spent(monkeypatch):
+    tight = Limits(clique_budget=3)
+    g = gen_gnp(40, 0.5, 2)
+    spent = bounds.graph_analysis(g, limits=tight)
+    assert (spent.iota, spent.iota_spent) == (None, True)
+    assert spent.profile == tuple(bounds.subset_profile(g, None, tight))
+    monkeypatch.setattr(experiment, "graph_analysis", lambda g: bounds.graph_analysis(g, limits=tight))
+    monkeypatch.setattr(experiment, "independence_number", lambda *a, **kw: pytest.fail("searched again"))
+    with pytest.raises(partition.SearchBudgetExceeded):
+        sweep({"family": "gnp", "n": 60, "trials": 1, "alpha_grid": "1.5"})
+
+
+@pytest.mark.parametrize(
+    "g",
+    [gen_gnp(40, 0.5, 2), gen_gnp(14, 0.5, 8), gen_gnp(30, 0.05, 1), gen_named("empty", 1), gen_named("star", 30)],
+    ids=["searched", "within-exact-cover", "disconnected", "one-vertex", "star"],
+)
+def test_graph_analysis_equals_the_separate_computations(g):
+    analysis = bounds.graph_analysis(g)
+    assert analysis.profile == tuple(bounds.subset_profile(g))
+    assert analysis.facts == construct.graph_facts(g)
+    assert analysis.diameter == diameter(g) and type(analysis.diameter) is type(diameter(g))
+    connected_and_large = analysis.diameter < math.inf and g.n > DEFAULT_LIMITS.exact_cover
+    assert analysis.iota == (partition.independence_number(g) if connected_and_large else None)
+    assert not analysis.iota_spent
+    for alpha in (0.5, 1.0, 1.5, 1.9):
+        assert analysis.upper_bounds(alpha) == upper_bounds(g, alpha)
+        cp, nb = analysis.lower_bounds(alpha)
+        assert cp == lower_clique_partition(g, alpha)
+        assert nb == (lower_neighborhood(g, alpha) if alpha > 1 else -math.inf)

@@ -5,7 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+from presdim import partition
 from presdim.cli import build_parser, main
+from presdim.config import Limits
 from presdim.construct import result_from_json
 from presdim.graph import gen_named, read_edge_list
 from presdim.preserve import certificate_from_json
@@ -271,16 +273,30 @@ def test_experiment_out_of_range_parameters_exit_two(argv):
         (["--kind", "clique", "--n", "-3"], "needs n >= 1, got n=-3"),
         (["--kind", "theorem2", "--n", "0"], "needs n >= 2, got n=0"),
         (["--kind", "theorem2", "--n", "1"], "needs n >= 2, got n=1"),
+        (["--kind", "diameter2", "--n", "0"], "needs n >= 1, got n=0"),
+        (["--kind", "diameter2", "--n", "-2"], "needs n >= 1, got n=-2"),
         (["--kind", "diameter2", "--n", "8", "--jobs", "0"], "jobs must be at least 1, got 0"),
         (["--kind", "clique", "--n", "8", "--jobs", "-1"], "jobs must be at least 1, got -1"),
     ],
-    ids=["clique-n0", "clique-negative-n", "theorem2-n0", "theorem2-n1", "jobs0", "negative-jobs"],
+    ids=[
+        "clique-n0", "clique-negative-n", "theorem2-n0", "theorem2-n1",
+        "diameter2-n0", "diameter2-negative-n", "jobs0", "negative-jobs",
+    ],
 )
 def test_experiment_rejects_tiny_n_and_jobs_below_one(argv, message, capsys):
     assert main(["experiment", *argv, "--trials", "2", "--seed", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_spent_search_budget_exits_two(monkeypatch, capsys):
+    # SearchBudgetExceeded is a RuntimeError; exit 1 would read as a failed verification.
+    monkeypatch.setattr(partition, "DEFAULT_LIMITS", Limits(clique_budget=3))
+    assert main(["experiment", "--kind", "clique", "--n", "40", "--trials", "2", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "budget 3 exhausted" in captured.err
 
 
 def test_planted_sweep_without_k_exits_two(tmp_path):

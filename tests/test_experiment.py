@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from presdim.config import DEFAULT_LIMITS
 from presdim.experiment import (
     mc_clique_number,
     mc_diameter2,
@@ -14,6 +15,8 @@ from presdim.experiment import (
     sweep,
     write_csv,
 )
+from presdim.graph import connected_components, derive_seed, gen_gnp
+from presdim.partition import independence_number
 
 
 def test_diameter2_complete_when_q_is_one():
@@ -117,6 +120,12 @@ def test_sweep_malformed_config():
         sweep({"family": "gnp"})  # missing n
     with pytest.raises(ValueError):
         sweep(dict(SWEEP_CFG, n="ten"))
+    for n in ("0", "-3"):
+        with pytest.raises(ValueError, match=f"needs n >= 1, got n={n}"):
+            sweep(dict(SWEEP_CFG, n=n))
+    for grid in ("nan", "-1", "0", "0.5,nan"):
+        with pytest.raises(ValueError, match="alpha must be positive, got alpha="):
+            sweep(dict(SWEEP_CFG, alpha_grid=grid))
 
 
 def test_parse_config(tmp_path):
@@ -167,3 +176,32 @@ def test_planted_recovery_formula_only_where_it_is_stated():
         extras = mc_planted(12, 3, 1.0, 0.0, alpha, 1, seed=9).extras
         assert ("planted_recovery_formula" in extras) == stated
         assert None not in extras.values()
+
+
+# Where the subset profile ran no exact independence search on the whole
+# graph, the sweep searches it itself: a disconnected graph (here one of
+# whose components, of 24 vertices, the profile does search), a graph within
+# the exact-cover limit, where the profile's floor is the cover, and n = 1.
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"family": "gnp", "n": 30, "p": 0.05, "seed": 4},
+        {"family": "gnp", "n": 16, "p": 0.5, "seed": 2},
+        {"family": "gnp", "n": 1},
+    ],
+    ids=["disconnected", "within-exact-cover", "one-vertex"],
+)
+def test_sweep_searches_iota_where_the_profile_did_not(cfg):
+    records = sweep(dict(cfg, alpha_grid="0.5,1.5"))
+    g = gen_gnp(cfg["n"], cfg.get("p", 0.5), derive_seed(cfg.get("seed", 0), 0))
+    assert [rec.row["independence_number"] for rec in records] == [independence_number(g)] * 2
+    if cfg["n"] == 30:
+        assert len(connected_components(g)) > 1
+        assert max(map(len, connected_components(g))) > DEFAULT_LIMITS.exact_cover
+
+
+def test_sweep_row_of_one_vertex():
+    for rec in sweep({"family": "gnp", "n": 1, "alpha_grid": "0.5,1.5"}):
+        row = rec.row
+        assert (row["diameter"], row["independence_number"], row["upper_min"]) == (0.0, 1, 0.0)
+        assert row["lower_clique_partition"] == row["lower_neighborhood"] == -math.inf

@@ -1,8 +1,9 @@
 """networkx may be installed next to the package, but it is no declared
 dependency (see ``pyproject.toml``), so no module of the package or of its
-tests may import it."""
+tests may import it. Every module declares its public names in ``__all__``."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -26,3 +27,13 @@ def test_nothing_imports_networkx():
         if name.split(".")[0] == "networkx"
     ]
     assert offenders == []
+
+
+def test_every_exported_name_resolves():
+    # A stale ``__all__`` entry breaks only ``from presdim.module import *``.
+    names = sorted(p.stem for p in (ROOT / "src" / "presdim").glob("*.py") if p.stem != "__init__")
+    assert len(names) > 5
+    for name in names:
+        module = importlib.import_module(f"presdim.{name}")
+        missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+        assert missing == [], name
