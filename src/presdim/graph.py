@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -214,9 +215,15 @@ class Graph:
         return self.matrix.astype(np.float64)
 
     def digest(self) -> str:
-        """Stable hex digest of the labeled graph (used in certificates)."""
-        text = f"n={self.n};" + "".join(f"{u},{v};" for u, v in self.edges())
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        """Stable hex digest of the labeled graph (used in certificates): the
+        SHA-256 of "n=<n>;" and then "u,v;" for every edge u < v in row-major
+        order, built one row at a time from a table of vertex labels."""
+        labels = np.array([str(v) for v in range(self.n)], dtype=object)
+        text = [f"n={self.n};"]
+        for u, row in enumerate(np.triu(self.matrix, 1)):
+            if (later := labels[row]).size:
+                text.append(f"{u}," + f";{u},".join(later) + ";")
+        return hashlib.sha256("".join(text).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -633,7 +640,14 @@ def graph_stats(g: Graph) -> GraphStats:
 # First line "n m", then one "u v" pair per line (0-indexed): exactly two
 # integer tokens. Lines starting with '#' are comments; a '#' elsewhere in a
 # line is an error. Planted-partition labels serialize as an optional
-# trailing "blocks: i_0 i_1 ... i_{n-1}" line.
+# trailing "blocks: i_0 i_1 ... i_{n-1}" line. Leading and trailing
+# whitespace of a line is ignored, and so are blank lines.
+
+# The comment and blank lines before the header, then the header line.
+_HEADER = re.compile(r"(?:\s*#[^\n]*)*\s*([^\n]*)")
+# A comment or "blocks:" line after the header, with the newline before it
+# (and any blank lines); group 1 is the labels text of a "blocks:" line.
+_NOT_EDGES = re.compile(r"\n\s*(?:#[^\n]*|blocks:([^\n]*))")
 
 
 def write_edge_list(g: Graph, path: str) -> None:
@@ -646,22 +660,28 @@ def write_edge_list(g: Graph, path: str) -> None:
 
 
 def read_edge_list(path: str) -> Graph:
+    """Read the edge-list text format above; ``ValueError`` names what is wrong.
+
+    The comment and ``blocks:`` lines are cut out of the text by one regex
+    split, and every remaining line goes to one ``np.loadtxt`` call.
+    """
     with open(path) as fh:
         text = fh.read()
-    lines = [ln for ln in map(str.strip, text.split("\n")) if ln and ln[0] != "#"]
-    if not lines:
+    head = _HEADER.match(text)
+    if not head.group(1):
         raise ValueError("empty edge-list file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("first line must be 'n <edge count>'")
-    n, m = int(head[0]), int(head[1])
-    body: list[str] = []
-    labels: list[tuple[int, ...]] = []
-    for ln in lines[1:]:
-        if ln.startswith("blocks:"):
-            labels.append(tuple(map(int, ln[len("blocks:") :].split())))
-        else:
-            body.append(ln)
+    try:
+        n, m = map(int, head.group(1).split())
+    except ValueError:
+        n = m = -1
+    if n < 0 or m < 0:
+        raise ValueError(f"header {head.group(1).strip()!r} must be 'n <edge count>', two nonnegative integers")
+    parts = _NOT_EDGES.split(text[head.end() :])
+    try:
+        labels = [tuple(map(int, line.split())) for line in parts[1::2] if line is not None]
+    except ValueError as exc:
+        raise ValueError(f"'blocks:' line must hold one integer label per vertex ({exc})") from None
+    body = "".join(parts[0::2])
     # comments=None: a '#' inside an edge line must fail to parse, not end it.
     # numpy releases still in their deprecation period parse a token such as
     # "1.5" or "2.0" via a float, truncate it and only issue a
@@ -670,7 +690,7 @@ def read_edge_list(path: str) -> Graph:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            edges = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None) if body else ()
+            edges = np.loadtxt(body.split("\n"), dtype=np.int64, ndmin=2, comments=None) if body.strip() else ()
     except ValueError as exc:
         raise ValueError(f"edge lines must hold exactly two integers ({exc})") from None
     g = from_edge_list(n, edges)

@@ -89,11 +89,14 @@ class PointSet:
         Only the upper triangle is computed: rows lo:hi against columns lo:,
         in blocks whose (rows, n - lo, d) difference tensor holds about
         ``graph._BLOCK_ENTRIES`` (2^14, 128 KiB) entries, and each block is
-        mirrored into the lower triangle. Every entry reduces the same
-        contiguous length-d difference row as the unblocked broadcast, and
-        d_ij equals d_ji exactly, so the matrix is bit-identical to the
-        broadcast symmetrised by ``0.5 * (d + d.T)`` wherever that sum stays
-        finite; ``check`` relies on this when it decides ``m > alpha*M``.
+        mirrored into the lower triangle. Each block's tensor is written into
+        one scratch buffer sized to the largest block, so no block allocates
+        (above the allocator's mmap threshold: maps and unmaps) its own.
+        Every entry reduces the same contiguous length-d difference row as
+        the unblocked broadcast, and d_ij equals d_ji exactly, so the matrix
+        is bit-identical to the broadcast symmetrised by ``0.5 * (d + d.T)``
+        wherever that sum stays finite; ``check`` relies on this when it
+        decides ``m > alpha*M``.
         Under l2 an entry whose squared sum overflows although its difference
         row is finite is recomputed as s * sqrt(sum((diff/s)^2)), s the row's
         largest magnitude. Peak memory is O(n^2) plus one block rather than
@@ -104,25 +107,31 @@ class PointSet:
         if n == 0 or dim == 0:
             return np.zeros((n, n))
         d = np.empty((n, n))
-        lo = 0
-        while lo < n:
-            hi = min(n, lo + _block_rows((n - lo) * dim))
-            diff = pts[lo:hi, None, :] - pts[None, lo:, :]
-            if self.norm == math.inf:
-                block = np.abs(diff, out=diff).max(axis=2)
-            elif self.norm == 1.0:
-                block = np.abs(diff, out=diff).sum(axis=2)
-            else:
-                block = np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2))
-                i, j = np.nonzero(np.isinf(block))
-                if i.size:  # the squares overflowed
-                    diff = pts[lo + i] - pts[lo + j]
-                    s = np.abs(diff).max(axis=1)
-                    ok = np.isfinite(s)
-                    block[i[ok], j[ok]] = s[ok] * np.sqrt(np.square(diff[ok] / s[ok, None]).sum(axis=1))
-            d[lo:hi, lo:] = block
-            d[lo:, lo:hi] = block.T
-            lo = hi
+        bounds = [0]
+        while bounds[-1] < n:
+            bounds.append(min(n, bounds[-1] + _block_rows((n - bounds[-1]) * dim)))
+        blocks = list(zip(bounds, bounds[1:]))
+        scratch = np.empty(max((hi - lo) * (n - lo) for lo, hi in blocks) * dim)
+        # Under l2 an overflowing square is recomputed below; a difference
+        # that overflows is infinite, and so is its distance.
+        with np.errstate(over="ignore"):
+            for lo, hi in blocks:
+                diff = scratch[: (hi - lo) * (n - lo) * dim].reshape(hi - lo, n - lo, dim)
+                np.subtract(pts[lo:hi, None, :], pts[None, lo:, :], out=diff)
+                if self.norm == math.inf:
+                    block = np.abs(diff, out=diff).max(axis=2)
+                elif self.norm == 1.0:
+                    block = np.abs(diff, out=diff).sum(axis=2)
+                else:
+                    block = np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=2))
+                    i, j = np.nonzero(np.isinf(block))
+                    if i.size:  # the squares overflowed
+                        diff = pts[lo + i] - pts[lo + j]
+                        s = np.abs(diff).max(axis=1)
+                        ok = np.isfinite(s)
+                        block[i[ok], j[ok]] = s[ok] * np.sqrt(np.square(diff[ok] / s[ok, None]).sum(axis=1))
+                d[lo:hi, lo:] = block
+                d[lo:, lo:hi] = block.T
         np.fill_diagonal(d, 0.0)
         return d
 
@@ -181,14 +190,22 @@ def validate_metric(m: FiniteMetric) -> MetricViolation | None:
             return MetricViolation(
                 "identity", (int(i), int(j)), "zero distance between distinct points"
             )
-    for i in range(n):
-        # excess[j, k] = d[i, k] - d[i, j] - d[j, k]
-        excess = d[i][None, :] - d[i][:, None] - d
-        worst = excess.max()
-        if worst > METRIC_TOL:
-            j, k = np.unravel_index(int(np.argmax(excess)), excess.shape)
+    # excess[i - lo, j, k] = d[i, k] - d[i, j] - d[j, k] for the rows i of a
+    # block of about 2^14 entries (one row once n^2 exceeds that), every block
+    # written into one buffer; the first row with an excess is the witness.
+    step = _block_rows(n * n)
+    excess = np.empty((min(step, n), n, n))
+    for lo in range(0, n, step):
+        rows = d[lo : lo + step]
+        block = excess[: len(rows)]
+        np.subtract(rows[:, None, :], rows[:, :, None], out=block)
+        block -= d
+        worst = block.max(axis=(1, 2))
+        if (bad := worst > METRIC_TOL).any():
+            r = int(bad.argmax())
+            j, k = np.unravel_index(int(np.argmax(block[r])), (n, n))
             return MetricViolation(
-                "triangle", (i, int(j), int(k)), f"excess = {worst:.3g}"
+                "triangle", (lo + r, int(j), int(k)), f"excess = {worst[r]:.3g}"
             )
     return None
 

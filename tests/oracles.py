@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import shortest_path
 
 from presdim.config import DEFAULT_LIMITS
 from presdim.graph import Graph, ball_matrices, connected_components, diameter, rng_for
-from presdim.metric import PointSet, _min_cover, _row_masks
+from presdim.metric import METRIC_TOL, MetricViolation, PointSet, _min_cover, _row_masks, validate_entries
 from presdim.partition import SearchBudgetExceeded, independence_number, neighborhood_class_count
 
 
@@ -273,10 +273,38 @@ def distance_matrix_oracle(points: np.ndarray, norm: float) -> np.ndarray:
     elif norm == 1.0:
         d = np.abs(diff).sum(axis=2)
     else:
-        d = np.sqrt((diff * diff).sum(axis=2))
+        with np.errstate(over="ignore"):
+            d = np.sqrt((diff * diff).sum(axis=2))
     d = 0.5 * (d + d.T)
     np.fill_diagonal(d, 0.0)
     return d
+
+
+def validate_metric_oracle(m) -> MetricViolation | None:
+    """``metric.validate_metric`` as first written: the triangle check
+    allocates a fresh excess matrix for every row."""
+    violation = validate_entries(m.dist)
+    if violation is not None:
+        return violation
+    d = m.dist
+    n = m.n
+    if not m.pseudo and n > 1:
+        off = d + np.diag(np.full(n, np.inf))
+        if off.min() <= 0.0:
+            i, j = np.unravel_index(int(np.argmin(off)), off.shape)
+            return MetricViolation(
+                "identity", (int(i), int(j)), "zero distance between distinct points"
+            )
+    for i in range(n):
+        # excess[j, k] = d[i, k] - d[i, j] - d[j, k]
+        excess = d[i][None, :] - d[i][:, None] - d
+        worst = excess.max()
+        if worst > METRIC_TOL:
+            j, k = np.unravel_index(int(np.argmax(excess)), excess.shape)
+            return MetricViolation(
+                "triangle", (i, int(j), int(k)), f"excess = {worst:.3g}"
+            )
+    return None
 
 
 def result_to_json_oracle(res) -> str:

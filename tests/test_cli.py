@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -206,6 +207,24 @@ def test_malformed_edge_lists_are_rejected(tmp_path, name):
     with pytest.raises(ValueError):
         read_edge_list(str(path))
     assert main(["analyze", str(path), "--alpha", "1.0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        ("a b\n", "header 'a b'"),
+        ("-3 0\n", "header '-3 0'"),
+        ("3 1 2\n0 1\n", "header '3 1 2'"),
+        ("3 0\nblocks: 0 x\n", "'blocks:' line"),
+    ],
+)
+def test_rejected_header_and_blocks_lines_are_named(tmp_path, capsys, text, names):
+    path = tmp_path / "g.el"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(names)):
+        read_edge_list(str(path))
+    assert main(["analyze", str(path), "--alpha", "1.0"]) == 2
+    assert names in capsys.readouterr().err
 
 
 def _loadtxt_with_float_fallback(real):

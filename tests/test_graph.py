@@ -218,3 +218,52 @@ def test_induced_diameter_dominates_pairwise_distances():
         for i in range(8):
             for j in range(8):
                 assert diam_sub >= full[subset[i], subset[j]] or diam_sub == math.inf
+
+
+# Outcome of ``read_edge_list`` on each text: (n, rows, blocks) of the graph
+# read, or the type of the error raised. Recorded from the line-by-line reader
+# this table was written against.
+READER_PARITY = {
+    "comment before the header": ("# c\n# d\n3 2\n0 1\n1 2\n", (3, (2, 5, 2), None)),
+    "comment between edges": ("3 2\n0 1\n# c\n1 2\n", (3, (2, 5, 2), None)),
+    "comment at the end": ("3 2\n0 1\n1 2\n# end", (3, (2, 5, 2), None)),
+    "indented comment": ("3 2\n0 1\n \t # c\n1 2\n", (3, (2, 5, 2), None)),
+    "blank lines": ("\n3 2\n\n0 1\n\n\n1 2\n\n", (3, (2, 5, 2), None)),
+    "whitespace-only lines": ("  \n3 2\n \t \n0 1\n1 2\n   ", (3, (2, 5, 2), None)),
+    "tab-separated": ("3\t2\n0\t1\n\t1 \t 2\t\n", (3, (2, 5, 2), None)),
+    "CRLF endings": ("3 2\r\n0 1\r\n1 2\r\nblocks: 0 0 1\r\n", (3, (2, 5, 2), (0, 0, 1))),
+    "one blocks line": ("3 1\n0 1\nblocks: 0 0 1\n", (3, (2, 1, 0), (0, 0, 1))),
+    "two blocks lines, the last wins": ("3 1\nblocks: 1 1 1\n0 1\n  blocks: 0 0 1\n", (3, (2, 1, 0), (0, 0, 1))),
+    "blocks line with no space": ("3 0\nblocks:0 1 2\n", (3, (0, 0, 0), (0, 1, 2))),
+    "blocks line of the wrong length": ("3 1\n0 1\nblocks: 0 1\n", ValueError),
+    "blocks line as the header": ("blocks: 0\n2 1\n0 1\n", ValueError),
+    "inline comment": ("3 1\n0 1 # note\n", ValueError),
+    "inline comment on a later line": ("3 2\n0 1\n1 2 # note\n", ValueError),
+    "1-token edge line": ("3 1\n0\n", ValueError),
+    "3-token edge line": ("3 1\n0 1 2\n", ValueError),
+    "1-token line after an edge": ("3 2\n0 1\n2\n", ValueError),
+    "token 1.5": ("3 1\n0 1.5\n", ValueError),
+    "token 2.0": ("3 1\n0 2.0\n", ValueError),
+    "edge count does not match": ("3 5\n0 1\n", ValueError),
+    "duplicate edge counted once": ("3 1\n0 1\n1 0\n", (3, (2, 1, 0), None)),
+    "signed tokens": ("+3 +1\n0 +1\n", (3, (2, 1, 0), None)),
+    "empty file": ("", ValueError),
+    "comment-only file": ("# nothing\n\n# here\n", ValueError),
+    "0 0": ("0 0\n", (0, (), None)),
+    "no edge lines": ("3 0\n", (3, (0, 0, 0), None)),
+    "header of three tokens": ("3 1 2\n0 1\n", ValueError),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(READER_PARITY))
+def test_reader_parity_table(tmp_path, name):
+    text, want = READER_PARITY[name]
+    path = tmp_path / "g.el"
+    path.write_bytes(text.encode())
+    if isinstance(want, type):
+        with pytest.raises(want):
+            read_edge_list(str(path))
+    else:
+        g = read_edge_list(str(path))
+        assert (g.n, g.rows, g.blocks) == want
