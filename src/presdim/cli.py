@@ -68,6 +68,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     g = read_edge_list(args.graph)
     with open(args.embedding) as fh:
         res = construct.result_from_json(fh.read())
+    if isinstance(res.target, metric.FiniteMetric):
+        bad = metric.validate_metric(res.target)
+        if bad is not None:
+            raise ValueError(
+                f"{args.embedding}: distance_matrix fails {bad.axiom} at {bad.witness} ({bad.detail})"
+            )
     cert = preserve.check(g, res, args.alpha)
     doc = preserve.certificate_to_json(cert)
     if args.out:

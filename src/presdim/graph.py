@@ -154,9 +154,14 @@ class Graph:
             raise ValueError(f"asymmetric adjacency between {u} and {v}")
         if blocks is not None and len(blocks) != n:
             raise ValueError("blocks must label every vertex")
+        return cls._checked(a, blocks)
+
+    @classmethod
+    def _checked(cls, a: np.ndarray, blocks: tuple[int, ...] | None = None) -> "Graph":
+        """``Graph.of`` for a matrix known to pass its check."""
         a.flags.writeable = False
         g = cls.__new__(cls)
-        vars(g).update(n=n, matrix=a, blocks=blocks)
+        vars(g).update(n=len(a), matrix=a, blocks=blocks)
         return g
 
     @cached_property
@@ -209,7 +214,9 @@ class Graph:
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertices in induced subset")
         idx = np.asarray(vertices, dtype=np.intp)
-        return Graph.of(self.matrix.take(idx, 0).take(idx, 1))
+        # A principal submatrix of a checked matrix passes the check: its
+        # diagonal entries are diagonal entries, and it is symmetric.
+        return Graph._checked(self.matrix.take(idx, 0).take(idx, 1))
 
     def adjacency_matrix(self) -> np.ndarray:
         return self.matrix.astype(np.float64)

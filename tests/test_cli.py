@@ -141,11 +141,13 @@ def _set_distances(value, *cells):
         (_set_distances(math.inf, (0, 3), (3, 0)), "1.5"),
         (lambda doc: doc.update(points=[[math.nan], [1.0], [2.0], [3.0]], norm=2), "1.5"),
         (lambda doc: None, "nan"),
+        (_set_distances(5.0, (0, 3), (3, 0)), "1.5"),
+        (_set_distances(0.0, (0, 1), (1, 0)), "1.5"),
     ],
     ids=[
         "negative", "out-of-range", "fractional", "missing-r", "asymmetric-distance",
         "negative-distance", "nonzero-diagonal", "nan-distance", "inf-distance", "nan-point",
-        "nan-level",
+        "nan-level", "triangle-violation", "off-diagonal-zero",
     ],
 )
 def test_verify_rejects_malformed_embedding(tmp_path, edit, alpha):
@@ -157,6 +159,19 @@ def test_verify_rejects_malformed_embedding(tmp_path, edit, alpha):
     edit(doc)
     emb_path.write_text(json.dumps(doc))
     assert main(["verify", str(g_path), str(emb_path), "--alpha", alpha]) == 2
+
+
+def test_verify_names_the_violated_axiom(tmp_path, capsys):
+    g_path = tmp_path / "p4.el"
+    emb_path = tmp_path / "emb.json"
+    assert main(["generate", "--family", "path", "--n", "4", "--out", str(g_path)]) == 0
+    assert main(["embed", str(g_path), "--construction", "spm", "--out", str(emb_path)]) == 0
+    doc = json.loads(emb_path.read_text())
+    _set_distances(5.0, (0, 3), (3, 0))(doc)
+    emb_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(g_path), str(emb_path), "--alpha", "1.5"]) == 2
+    assert "fails triangle at (0, 1, 3) (excess = 2)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -481,6 +481,48 @@ def test_result_to_json_matches_the_indent_writer_on_any_floats(rows, cols, metr
     assert result_to_json(res) == result_to_json_oracle(res)
 
 
+# Both zeros, both infinities, NaN of either sign and integral values: the
+# writer's table keys values by bit pattern, and the reprs differ in sign.
+POOL_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 2.0, -3.0, 2.0**53, 0.1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(0, 7),
+    cols=st.integers(0, 7),
+    metric=st.booleans(),
+    data=st.data(),
+)
+def test_result_to_json_matches_the_indent_writer_on_few_values(rows, cols, metric, data):
+    """Arrays drawn from a small pool, written from one table of reprs, and
+    pools wide enough to exceed half the entries, written row by row."""
+    cols = rows if metric else cols
+    pool = data.draw(st.lists(st.sampled_from(POOL_VALUES), min_size=1, max_size=5))
+    values = st.sampled_from(pool)
+    if data.draw(st.booleans()):
+        values = values | st.floats()
+    flat = data.draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
+    arr = np.array(flat, dtype=np.float64).reshape(rows, cols)
+    target = FiniteMetric(arr) if metric else PointSet(arr, norm=math.inf)
+    res = _result(target)
+    assert result_to_json(res) == result_to_json_oracle(res)
+
+
+@pytest.mark.parametrize(
+    "flat, shape",
+    [
+        ([1.0, -0.0, 1.0, -0.0], (2, 2)),  # distinct values at half the entries: one table
+        ([1.0, -0.0, 1.0, 0.0], (2, 2)),  # one more: row by row
+        ([math.nan, -math.nan, math.nan, math.nan], (1, 4)),
+        ([], (0, 3)),
+        ([], (3, 0)),
+    ],
+)
+def test_result_to_json_on_both_sides_of_the_half_distinct_rule(flat, shape):
+    res = _result(PointSet(np.array(flat, dtype=np.float64).reshape(shape)))
+    assert result_to_json(res) == result_to_json_oracle(res)
+
+
 @pytest.mark.parametrize("tag", sorted(BY_CLI))
 def test_embedding_files_match_the_indent_writer(tag):
     g = gen_gnp(40, 0.3, 5)

@@ -5,6 +5,7 @@ import pytest
 
 from presdim.graph import (
     GenerationError,
+    Graph,
     all_pairs_distances,
     diameter,
     from_edge_list,
@@ -218,6 +219,22 @@ def test_induced_diameter_dominates_pairwise_distances():
         for i in range(8):
             for j in range(8):
                 assert diam_sub >= full[subset[i], subset[j]] or diam_sub == math.inf
+
+
+def test_induced_equals_the_checked_submatrix():
+    """``induced`` skips ``Graph.of``'s check, which a principal submatrix of
+    a checked matrix always passes; the graph is the one the check builds."""
+    rng = np.random.default_rng(71)
+    for n in (1, 2, 9, 30):
+        g = gen_gnp(n, float(rng.uniform(0.1, 0.9)), int(rng.integers(0, 1000)))
+        subsets = [[], [int(rng.integers(0, n))], rng.permutation(n)[: (n + 1) // 2].tolist(), rng.permutation(n).tolist()]
+        for subset in subsets:
+            sub = g.induced(subset)
+            assert sub == Graph.of(g.matrix[np.ix_(subset, subset)].copy())
+            assert sub.n == len(subset) and sub.blocks is None
+            assert not sub.matrix.flags.writeable
+    with pytest.raises(ValueError, match="duplicate"):
+        g.induced([0, 0])
 
 
 # Outcome of ``read_edge_list`` on each text: (n, rows, blocks) of the graph

@@ -1,9 +1,14 @@
 """networkx may be installed next to the package, but it is no declared
 dependency (see ``pyproject.toml``), so no module of the package or of its
-tests may import it. Every module declares its public names in ``__all__``."""
+tests may import it. Every module declares its public names in ``__all__``.
+No verb imports ``numpy.ma``."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,3 +42,33 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"presdim.{name}")
         missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
         assert missing == [], name
+
+
+# Runs every verb that reads or writes embeddings in one process. numpy.ma
+# costs about 1.1 MB resident, and np.unique or np.isin on floats import it.
+_VERBS_SCRIPT = textwrap.dedent("""
+    import os, sys
+    from presdim.cli import main
+    from presdim.construct import BY_CLI
+    os.chdir(sys.argv[1])
+    assert main(["generate", "--family", "gnp", "--n", "14", "--p", "0.5", "--seed", "3", "--out", "g.el"]) == 0
+    assert main(["analyze", "g.el", "--alpha", "1.5"]) == 0
+    for tag in BY_CLI:
+        alpha = {"collapse": "0.8", "simplex-jl": "0.8", "prop6": "1.5"}.get(tag, "1.0")
+        out = f"{tag}.json"
+        assert main(["embed", "g.el", "--construction", tag, "--alpha", alpha, "--seed", "1", "--out", out]) == 0
+        level = {"collapse": "0.7", "simplex-jl": "0.7", "schoenberg": "0.9", "prop6": "1.4"}.get(tag, "1.5")
+        assert main(["verify", "g.el", out, "--alpha", level]) in (0, 1)
+    assert main(["doubling", "--embedding", "prop6.json"]) == 0
+    print("numpy.ma" in sys.modules)
+""")
+
+
+def test_no_verb_imports_numpy_ma(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", _VERBS_SCRIPT, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"

@@ -505,18 +505,93 @@ def test_validate_metric_matches_the_per_row_oracle(m, entries):
         assert validate_metric(m) == validate_metric_oracle(m)
 
 
-@pytest.mark.parametrize("build", [shortest_path_metric, lambda g: pseudo_metric_embedding(g, 1.5)], ids=["spm", "prop6"])
-def test_validate_metric_memory_is_bounded(build):
-    """The triangle check reuses one n x n buffer: no (n, n, n) tensor and no
-    fresh temporaries per row."""
-    m = build(gen_gnp(300, 0.3, 1)).target
+def _asymmetric_excess():
+    """An excess of 1.3 tolerances at (0, 1, 2) that reads d_12; d_21 is
+    0.8 tolerances larger, and the same triple through it has no excess."""
+    d = 1.0 - np.eye(9)
+    d[0, 2] = d[2, 0] = 2.0 + 0.5 * METRIC_TOL
+    d[1, 2] = 1.0 - 0.8 * METRIC_TOL
+    return FiniteMetric(d)
+
+
+def _excess_through_a_pseudo_zero():
+    """d_01 = 0, so d_02 = 2 exceeds d_01 + d_12 = 1: a violation only
+    through the zero class, which holds more than the diagonal."""
+    d = 1.0 - np.eye(8)
+    d[0, 1] = d[1, 0] = 0.0
+    d[0, 2] = d[2, 0] = 2.0
+    return FiniteMetric(d, pseudo=True)
+
+
+@st.composite
+def few_valued_matrices(draw):
+    """Symmetric matrices on 2..16 points over at most three distances, the
+    sizes and value counts at which ``validate_metric`` decides the
+    triangle inequality by pairs of distance classes (m^3 <= n^2): with a
+    triangle excess planted at 0.5, 1 and 2 tolerances, off-diagonal zeros,
+    entries of -METRIC_TOL and -0.0, and asymmetry within the tolerance."""
+    n = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = draw(st.lists(st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0)), min_size=1, max_size=3, unique=True))
+    d = np.triu(rng.choice(pool, (n, n)), 1)
+    d = d + d.T
+    if n >= 3 and draw(st.booleans()):
+        i, j, k = rng.choice(n, 3, replace=False)
+        d[i, k] = d[k, i] = d[i, j] + d[j, k] + draw(st.sampled_from((0.5, 1.0, 2.0))) * METRIC_TOL
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = rng.choice(n, 2, replace=False)
+        d[i, j] = d[j, i] = draw(st.sampled_from((0.0, -0.0, -METRIC_TOL)))
+    if draw(st.booleans()):
+        i = int(rng.integers(0, n))
+        d[i, i] = -0.0
+    if draw(st.booleans()):
+        i, j = rng.choice(n, 2, replace=False)
+        d[i, j] += draw(st.sampled_from((-0.8, 0.5, 1.0))) * METRIC_TOL
+    return FiniteMetric(d, pseudo=draw(st.booleans()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(few_valued_matrices())
+@example(_asymmetric_excess())
+@example(_excess_through_a_pseudo_zero())
+def test_validate_metric_by_distance_classes_matches_the_oracle(m):
+    assert validate_metric(m) == validate_metric_oracle(m)
+
+
+def test_distance_class_examples_take_the_class_check():
+    """The two examples above are decided by distance classes: the check
+    finds their violating triple and hands the witness to the sweep."""
+    for m in (_asymmetric_excess(), _excess_through_a_pseudo_zero()):
+        assert not metric._triangles_clear(m.dist)
+        assert validate_metric(m).axiom == "triangle"
+
+
+def _gaussian_metric(g):
+    return induced_metric(PointSet(np.random.default_rng(3).standard_normal((g.n, 3))))
+
+
+@pytest.mark.parametrize(
+    "build, by_classes",
+    [
+        (lambda g: shortest_path_metric(g).target, True),
+        (lambda g: pseudo_metric_embedding(g, 1.5).target, True),
+        (_gaussian_metric, False),
+    ],
+    ids=["spm", "prop6", "many-distances"],
+)
+def test_validate_metric_memory_is_bounded(build, by_classes):
+    """Both triangle checks stay under two n x n float matrices: the class
+    check's sort is released before the sweep, and the sweep reuses one
+    n x n buffer (no (n, n, n) tensor, no fresh temporaries per row)."""
+    m = build(gen_gnp(300, 0.3, 1))
+    assert metric._triangles_clear(m.dist) is by_classes
     tracemalloc.start()
     try:
         assert validate_metric(m) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert m.n == 300 and peak < 3 * m.n**2 * 8
+    assert m.n == 300 and peak < 2 * m.n**2 * 8
 
 
 def test_validate_metric():
