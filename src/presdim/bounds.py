@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .construct import BY_TAG, CONSTRUCTIONS, GraphFacts, graph_facts
@@ -42,6 +44,7 @@ __all__ = [
     "UpperBound",
     "BoundReport",
     "GraphAnalysis",
+    "ProfileEntry",
     "graph_analysis",
     "lower_clique_partition",
     "lower_neighborhood",
@@ -141,23 +144,88 @@ def _floor_at_most(rows: Sequence[int], cand: int, bar: float, limits: Limits) -
     return blocks <= bar
 
 
-def _profile_entries(g: Graph, subsets: Sequence[Sequence[int]] | None, limits: Limits) -> list[tuple]:
-    """``subset_profile`` with U's vertex mask before and the floor's exactness
-    after each entry; largest candidates first, so U's dominators come before it."""
-    entries: list[tuple[int, float, float, int, bool]] = []
-    rows = g.rows
-    for subset in sorted(_candidate_subsets(g, subsets), key=len, reverse=True):
-        sub = g.induced(subset)
-        diam = diameter(sub)
-        if not (math.isfinite(diam) and diam >= 1):
-            continue
-        mask = sum(1 << v for v in subset)
-        bars = [floor for held, d, floor, _, exact in entries if exact and mask & ~held == 0 and d <= diam]
-        if bars and _floor_at_most(rows, mask, max(bars), limits):
-            continue
-        floor, exact = _partition_floor(sub, rows, mask, limits)
-        entries.append((mask, diam, floor, neighborhood_class_count(g, subset), exact))
-    return entries
+class ProfileEntry(NamedTuple):
+    """One undominated candidate U; ``exact`` as ``_partition_floor`` says."""
+
+    mask: int
+    diameter: float
+    floor: float
+    classes: int
+    exact: bool
+
+
+@dataclass(frozen=True)
+class GraphAnalysis:
+    """The level-free part of one graph's bounds; each part is computed on
+    first read and at most once. ``iota`` is ι(G) where the profile's
+    whole-graph entry (G connected, above ``limits.exact_cover`` vertices)
+    ran the exact independence search; ``iota_spent``: it ran out of budget."""
+
+    g: Graph
+    subsets: tuple[tuple[int, ...], ...]  # the user subsets, checked
+    limits: Limits
+
+    @cached_property
+    def entries(self) -> tuple[ProfileEntry, ...]:
+        """Largest candidates first, so U's dominators come before it."""
+        g, limits, entries = self.g, self.limits, []
+        for subset in sorted(_candidate_subsets(g, self.subsets), key=len, reverse=True):
+            sub = g.induced(subset)
+            diam = diameter(sub)
+            if not (math.isfinite(diam) and diam >= 1):
+                continue
+            mask = sum(1 << v for v in subset)
+            bars = [e.floor for e in entries if e.exact and mask & ~e.mask == 0 and e.diameter <= diam]
+            if bars and _floor_at_most(g.rows, mask, max(bars), limits):
+                continue
+            floor, exact = _partition_floor(sub, g.rows, mask, limits)
+            entries.append(ProfileEntry(mask, diam, floor, neighborhood_class_count(g, subset), exact))
+        return tuple(entries)
+
+    @cached_property
+    def profile(self) -> tuple[tuple[float, float, int], ...]:  # the ``subset_profile`` entries
+        return tuple((e.diameter, e.floor, e.classes) for e in self.entries)
+
+    @cached_property
+    def facts(self) -> GraphFacts:
+        return graph_facts(self.g, self.limits)
+
+    @cached_property
+    def diameter(self) -> float:
+        return diameter(self.g)
+
+    @cached_property
+    def _searched(self) -> ProfileEntry | None:  # the whole-graph entry, if it ran the exact ι search
+        whole = next(iter(self.entries), None)
+        return whole if whole and whole.mask == (1 << self.g.n) - 1 and self.g.n > self.limits.exact_cover else None
+
+    @cached_property
+    def iota(self) -> int | None:
+        return int(self._searched.floor) if self._searched and self._searched.exact else None
+
+    @cached_property
+    def iota_spent(self) -> bool:
+        return self._searched is not None and not self._searched.exact
+
+    def lower_bounds(self, alpha: float) -> tuple[float, float]:  # as ``profile_lower``
+        return profile_lower(self.profile, alpha)
+
+    def upper_bounds(self, alpha: float) -> tuple[list[UpperBound], list[tuple[str, str]]]:  # alpha in (0, 2)
+        rules = [(row.tag, *row.ceiling(self.facts, alpha)) for row in CONSTRUCTIONS if row.ceiling is not None]
+        ups = [UpperBound(tag, value, constructive=True, note=text) for tag, value, text in rules if value is not None]
+        return ups, [(tag, text) for tag, value, text in rules if value is None]
+
+
+def graph_analysis(
+    g: Graph, subsets: Sequence[Sequence[int]] | None = None, limits: Limits = DEFAULT_LIMITS
+) -> GraphAnalysis:
+    """The level-free analysis of g, each of its searches run once, on first read."""
+    if g.n == 0:
+        raise ValueError("the empty vertex set has no bounds")
+    for v in (v for subset in subsets or () for v in subset):
+        if not (isinstance(v, numbers.Integral) and 0 <= v < g.n):
+            raise ValueError(f"subset entry {v!r} is not a vertex 0..{g.n - 1}")
+    return GraphAnalysis(g, tuple(tuple(int(v) for v in subset) for subset in subsets or ()), limits)
 
 
 def subset_profile(
@@ -170,7 +238,7 @@ def subset_profile(
     diam(G|U) >= 1, each candidate induced once. The ``profile_lower``
     maxima are those over every candidate; only the number of entries falls.
     """
-    return [entry[1:4] for entry in _profile_entries(g, subsets, limits)]
+    return list(graph_analysis(g, subsets, limits).profile)
 
 
 def profile_lower(profile: Sequence[tuple[float, float, int]], alpha: float) -> tuple[float, float]:
@@ -197,7 +265,7 @@ def lower_clique_partition(
     """
     if not 0 < alpha < 2:
         raise ValueError("clique-partition bound needs alpha in (0, 2)")
-    return profile_lower(subset_profile(g, subsets, limits), alpha)[0]
+    return graph_analysis(g, subsets, limits).lower_bounds(alpha)[0]
 
 
 def lower_neighborhood(
@@ -214,17 +282,10 @@ def lower_neighborhood(
     """
     if not 1 < alpha < 2:
         raise ValueError("neighborhood bound needs alpha in (1, 2)")
-    return profile_lower(subset_profile(g, subsets, limits), alpha)[1]
+    return graph_analysis(g, subsets, limits).lower_bounds(alpha)[1]
 
 
 # -- upper bound formulas --------------------------------------------------------
-
-
-def _ceilings(facts: GraphFacts, alpha: float) -> tuple[list[UpperBound], list[tuple[str, str]]]:
-    """The table's ceilings on one graph's facts at alpha, and (tag, reason) per omitted rule."""
-    rules = [(row.tag, *row.ceiling(facts, alpha)) for row in CONSTRUCTIONS if row.ceiling is not None]
-    ups = [UpperBound(tag, value, constructive=True, note=text) for tag, value, text in rules if value is not None]
-    return ups, [(tag, text) for tag, value, text in rules if value is None]
 
 
 def upper_bounds(
@@ -239,43 +300,7 @@ def upper_bounds(
     """
     if not 0 < alpha < 2:
         raise ValueError("upper bounds cover alpha in (0, 2)")
-    return _ceilings(graph_facts(g, limits), alpha)
-
-
-@dataclass(frozen=True)
-class GraphAnalysis:
-    """The level-free part of one graph's bounds. ``iota`` is ι(G) where the
-    profile's whole-graph entry (G connected, above ``limits.exact_cover``
-    vertices) ran the exact independence search; ``iota_spent``: it ran out of budget."""
-
-    profile: tuple[tuple[float, float, int], ...]  # the ``subset_profile`` entries
-    facts: GraphFacts
-    diameter: float
-    iota: int | None
-    iota_spent: bool
-
-    def lower_bounds(self, alpha: float) -> tuple[float, float]:  # as ``profile_lower``
-        return profile_lower(self.profile, alpha)
-
-    def upper_bounds(self, alpha: float) -> tuple[list[UpperBound], list[tuple[str, str]]]:  # alpha in (0, 2)
-        return _ceilings(self.facts, alpha)
-
-
-def graph_analysis(
-    g: Graph, subsets: Sequence[Sequence[int]] | None = None, limits: Limits = DEFAULT_LIMITS
-) -> GraphAnalysis:
-    """The level-free analysis of g, each of its searches run once."""
-    entries = _profile_entries(g, subsets, limits)
-    whole = entries[0] if entries and entries[0][0] == (1 << g.n) - 1 else None
-    diam = whole[1] if whole else (math.inf if g.n > 1 else diameter(g))  # else disconnected or n <= 1
-    searched = whole is not None and g.n > limits.exact_cover
-    return GraphAnalysis(
-        profile=tuple(entry[1:4] for entry in entries),
-        facts=graph_facts(g, limits),
-        diameter=diam,
-        iota=int(whole[2]) if searched and whole[4] else None,
-        iota_spent=searched and not whole[4],
-    )
+    return graph_analysis(g, limits=limits).upper_bounds(alpha)
 
 
 # -- named theorem formulas -------------------------------------------------------

@@ -270,6 +270,9 @@ def parse_config(path: str) -> dict[str, str]:
     return out
 
 
+SWEEP_KEYS = ("family", "n", "trials", "seed", "alpha_grid", "p", "q", "k")
+
+
 def sweep(config: dict, jobs: int = 1) -> list[TrialRecord]:
     """Run one TrialRecord per (alpha grid point, trial index).
 
@@ -277,6 +280,9 @@ def sweep(config: dict, jobs: int = 1) -> list[TrialRecord]:
     p / q / k as the family requires. The sampled graph depends only on the
     trial index, so an alpha grid sweeps the same graph per trial.
     """
+    unknown = sorted(set(config) - set(SWEEP_KEYS))
+    if unknown:
+        raise ValueError(f"unknown sweep config key {unknown[0]!r}; the keys are {', '.join(SWEEP_KEYS)}")
     try:
         family = str(config["family"])
         n = int(config["n"])
@@ -287,6 +293,8 @@ def sweep(config: dict, jobs: int = 1) -> list[TrialRecord]:
         raise ValueError(f"malformed sweep config: {exc}") from exc
     if n < 1:
         raise ValueError(f"sweep needs n >= 1, got n={n}")
+    if trials < 1:
+        raise ValueError(f"sweep needs trials >= 1, got trials={trials}")
     for alpha in alphas:
         if not alpha > 0:  # NaN too
             raise ValueError(f"alpha must be positive, got alpha={alpha}")
@@ -305,9 +313,10 @@ def _sweep_trial(args: tuple) -> list[TrialRecord]:
     analysis = graph_analysis(g)
     clique_mode = "exact" if g.n <= 128 else "greedy"
     kappa = clique_number(g, mode=clique_mode)
-    if clique_mode == "exact" and analysis.iota_spent:  # the same search on the same graph
+    profiled = clique_mode == "exact" and any(0 < alpha < 2 for alpha in alphas)  # only they read the profile
+    if profiled and analysis.iota_spent:  # the same search on the same graph
         raise SearchBudgetExceeded(f"max-clique budget {DEFAULT_LIMITS.clique_budget} exhausted")
-    iota = analysis.iota if clique_mode == "exact" else None
+    iota = analysis.iota if profiled else None
     if iota is None:
         iota = independence_number(g, mode=clique_mode)
     records = []

@@ -65,6 +65,20 @@ def test_lower_bounds_empty_graph_convention():
     assert lower_neighborhood(empty, 1.5) == -math.inf
 
 
+def test_the_empty_vertex_set_is_rejected():
+    g = from_edge_list(0, [])
+    for run in (
+        lambda: bounds.graph_analysis(g),
+        lambda: upper_bounds(g, 1.0),
+        lambda: lower_clique_partition(g, 0.5),
+        lambda: lower_neighborhood(g, 1.5),
+        lambda: bounds.subset_profile(g),
+        lambda: report(g, 0.5),
+    ):
+        with pytest.raises(ValueError, match="empty vertex set"):
+            run()
+
+
 def test_lower_neighborhood_two_cliques_matched():
     tcm = gen_named("two_cliques_matched", 10)
     value = lower_neighborhood(tcm, 1.5)
@@ -80,6 +94,11 @@ def test_lower_accepts_user_subsets():
     base = lower_clique_partition(g, 1.0)
     with_user = lower_clique_partition(g, 1.0, subsets=[list(range(10))])
     assert with_user >= base - 1e-12
+    for bad in (99, -1, 1.5):  # checked when the analysis is made, each named
+        with pytest.raises(ValueError, match=f"subset entry {bad} is not a vertex"):
+            bounds.graph_analysis(g, [[0, bad]])
+        with pytest.raises(ValueError, match=f"subset entry {bad} is not a vertex"):
+            lower_clique_partition(g, 1.0, subsets=[[0, bad]])
 
 
 def test_upper_bound_values():
@@ -478,3 +497,49 @@ def test_graph_analysis_equals_the_separate_computations(g):
         cp, nb = analysis.lower_bounds(alpha)
         assert cp == lower_clique_partition(g, alpha)
         assert nb == (lower_neighborhood(g, alpha) if alpha > 1 else -math.inf)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [{"family": "gnp", "n": 40, "trials": 2, "seed": 3},
+     {"family": "planted", "n": 24, "k": 3, "p": 0.9, "q": 0.2, "trials": 2, "seed": 5},
+     {"family": "gnp", "n": 30, "p": 0.05, "seed": 4}],
+    ids=["gnp", "planted", "disconnected"],
+)
+def test_a_sweep_without_levels_below_two_builds_no_profile(monkeypatch, cfg):
+    enumerations = _counted(monkeypatch, bounds, "_candidate_subsets")
+    above = sweep(dict(cfg, alpha_grid="2.5"))
+    assert sweep(dict(cfg, alpha_grid="")) == []
+    assert not enumerations
+    mixed = sweep(dict(cfg, alpha_grid="1.5,2.5"))
+    assert enumerations
+    assert [rec.row for rec in above] == [rec.row for rec in mixed if rec.row["alpha"] == 2.5]
+
+
+def test_upper_bounds_build_no_profile(monkeypatch):
+    enumerations = _counted(monkeypatch, bounds, "_candidate_subsets")
+    searches = _counted(monkeypatch, partition, "independence_number")
+    for g in (gen_gnp(40, 0.5, 2), gen_named("star", 30), gen_gnp(30, 0.05, 1)):
+        for alpha in (0.5, 1.5):
+            upper_bounds(g, alpha)
+    assert not enumerations and not searches
+
+
+def test_each_part_of_an_analysis_is_computed_once(monkeypatch):
+    calls = [_counted(monkeypatch, bounds, "_candidate_subsets"),
+             _counted(monkeypatch, partition, "independence_number"),
+             _counted(monkeypatch, graph, "diameter")]
+    analysis = bounds.graph_analysis(gen_gnp(40, 0.5, 2))
+    assert not any(calls)  # nothing runs before its first read
+
+    def reads():
+        return (analysis.profile, analysis.iota, analysis.iota_spent, analysis.diameter,
+                analysis.lower_bounds(1.5), analysis.lower_bounds(0.5))
+
+    first = reads()
+    counts = [len(c) for c in calls]
+    assert reads() == first and [len(c) for c in calls] == counts
+    assert counts[:2] == [1, 1]  # one enumeration, one search: the whole graph's
+    assert analysis.entries[0] == bounds.ProfileEntry(
+        (1 << 40) - 1, analysis.diameter, float(analysis.iota), analysis.entries[0].classes, True
+    )

@@ -242,6 +242,18 @@ def test_rejected_header_and_blocks_lines_are_named(tmp_path, capsys, text, name
     assert names in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha, code", [("0.5", 2), ("1.0", 2), ("1.5", 2), ("2.0", 0), ("2.5", 0)])
+def test_analyze_the_empty_vertex_set(tmp_path, capsys, alpha, code):
+    path = tmp_path / "g.el"
+    path.write_text("0 0\n")
+    assert main(["analyze", str(path), "--alpha", alpha]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == "" and "error: the empty vertex set has no bounds" in captured.err
+    else:
+        assert "feasible=True" in captured.out
+
+
 def _loadtxt_with_float_fallback(real):
     # numpy 1.23 up to the end of its deprecation period parsed an integer
     # token such as "2.0" via a float, truncated it and only issued a

@@ -126,6 +126,12 @@ def test_sweep_malformed_config():
     for grid in ("nan", "-1", "0", "0.5,nan"):
         with pytest.raises(ValueError, match="alpha must be positive, got alpha="):
             sweep(dict(SWEEP_CFG, alpha_grid=grid))
+    for trials in ("0", "-2"):
+        with pytest.raises(ValueError, match=f"needs trials >= 1, got trials={trials}"):
+            sweep(dict(SWEEP_CFG, trials=trials))
+    for key in ("alpha-grid", "famliy", "jobs"):
+        with pytest.raises(ValueError, match=f"unknown sweep config key '{key}'"):
+            sweep(dict(SWEEP_CFG, **{key: "1.5"}))
 
 
 def test_parse_config(tmp_path):
