@@ -321,7 +321,10 @@ def cluster_saliency(p: float, q: float) -> float:
 
 def diameter2_probability_floor(n: int, q: float) -> tuple[float, bool]:
     """Floor on P[diameter <= 2] when edges appear with probability >= q;
-    clamped into [0, 1] (vacuous values flagged)."""
+    clamped into [0, 1] (vacuous values flagged). One vertex has no pairs,
+    so the union bound is empty and the floor is 1."""
+    if n == 1:
+        return 1.0, False
     return _clamped(1.0 - n * n * math.exp(-q * q * (n - 1)))
 
 

@@ -69,7 +69,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.embedding) as fh:
         res = construct.result_from_json(fh.read())
     if isinstance(res.target, metric.FiniteMetric):
-        bad = metric.validate_metric(res.target)
+        # result_from_json has already run validate_entries on the matrix.
+        bad = metric._validate_identity_and_triangle(res.target)
         if bad is not None:
             raise ValueError(
                 f"{args.embedding}: distance_matrix fails {bad.axiom} at {bad.witness} ({bad.detail})"

@@ -189,6 +189,12 @@ def validate_metric(m: FiniteMetric) -> MetricViolation | None:
     violation = validate_entries(m.dist)
     if violation is not None:
         return violation
+    return _validate_identity_and_triangle(m)
+
+
+def _validate_identity_and_triangle(m: FiniteMetric) -> MetricViolation | None:
+    """``validate_metric`` on a matrix whose entries ``validate_entries``
+    has already passed: the identity check, then the triangle inequality."""
     d = m.dist
     n = m.n
     if not m.pseudo and n > 1:
@@ -438,7 +444,23 @@ def doubling_dimension(
     Radii are scanned in ascending order over all pairwise distances and
     tiny upward perturbations of each; ball contents only change at those
     thresholds.
-    Returns ceil(log2) of ``worst``, the largest cover size found.
+    ``worst`` is the power of two at or above the largest cover found: it
+    starts at 1, and a cover c > ``worst`` sets it to 2^ceil(log2 c).
+    Returns log2 of ``worst``. With M the largest cover over the (ball,
+    half-radius class) states the scan visits, that is ceil(log2 M):
+
+    - a ball the scan skips holds at most ``worst`` points, and a cover it
+      caps is at most ``worst``, when met; ``worst`` never falls, so
+      ``worst`` >= M at the end;
+    - every value ``worst`` takes is 1 or 2^ceil(log2 c) for a cover
+      c <= M, so ``worst`` <= 2^ceil(log2 M); being a power of two at or
+      above M, it equals 2^ceil(log2 M).
+
+    Which states the scan visits, and which balls it caches a cover for in
+    each class, do not depend on ``worst``. A cover that could raise the
+    running maximum only inside its power-of-two bucket is never finished:
+    after a largest cover of 5, ``worst`` is 8 and covers of 6, 7 or 8 are
+    capped.
 
     The masks of ``d < t`` depend on t only through its threshold class,
     the number of entries of d below t, so one stable sort of d and one
@@ -451,8 +473,8 @@ def doubling_dimension(
     - a row is revisited only when its ball gained a point, or, in greedy
       mode, when a center gained a point inside that ball (a cover depends
       only on the ball and on each center restricted to it);
-    - covers are capped at ``worst`` (``_greedy_cover``'s ``cap``), and a
-      ball of at most ``worst`` points is never covered;
+    - covers are capped at the power of two ``worst`` (``_greedy_cover``'s
+      ``cap``), and a ball of at most ``worst`` points is never covered;
     - exact mode runs ``_min_cover`` only when the capped greedy cover
       exceeds ``worst`` (exact <= greedy), and only at the last radius of
       each half-radius class. An exact cover never shrinks as its ball
@@ -520,7 +542,8 @@ def doubling_dimension(
                 if mode == "exact" and cover > worst:
                     cover = _min_cover(ball, centers)
                 covers[ball] = cover
-            worst = max(worst, cover)
+            if cover > worst:
+                worst = 1 << (cover - 1).bit_length()
     return (worst - 1).bit_length()
 
 

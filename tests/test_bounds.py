@@ -158,6 +158,12 @@ def test_probability_bounds_and_clamping():
     assert ceiling == 1.0 and clamped
 
 
+@pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+def test_diameter2_floor_of_one_vertex_is_one(q):
+    # No pairs, so the union bound is empty.
+    assert diameter2_probability_floor(1, q) == (1.0, False)
+
+
 def test_l2_level_ceiling_complete_bipartite():
     for m in (3, 4, 6):
         g = gen_named("complete_bipartite", 2 * m)

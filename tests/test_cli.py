@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from presdim import partition
+from presdim import construct, metric, partition
 from presdim.cli import build_parser, main
 from presdim.config import Limits
 from presdim.construct import result_from_json
 from presdim.graph import gen_named, read_edge_list
+from presdim.metric import validate_entries
 from presdim.preserve import certificate_from_json
 
 
@@ -118,6 +119,29 @@ def test_experiment_verbs(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 5  # header + 2 trials x 2 levels
     assert main(["experiment", "--kind", "sweep"]) == 2  # missing --config
+
+
+def test_diameter2_on_one_vertex(capsys):
+    assert main(["experiment", "--kind", "diameter2", "--n", "1", "--trials", "3", "--seed", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["bound"] == doc["empirical"] == 1.0 and not doc["bound_clamped"]
+
+
+def test_verify_checks_the_entries_once(tmp_path, monkeypatch):
+    g_path = tmp_path / "p4.el"
+    emb_path = tmp_path / "emb.json"
+    assert main(["generate", "--family", "path", "--n", "4", "--out", str(g_path)]) == 0
+    assert main(["embed", str(g_path), "--construction", "spm", "--out", str(emb_path)]) == 0
+    calls = []
+
+    def counted(d):
+        calls.append(d.shape)
+        return validate_entries(d)
+
+    monkeypatch.setattr(construct, "validate_entries", counted)
+    monkeypatch.setattr(metric, "validate_entries", counted)
+    assert main(["verify", str(g_path), str(emb_path), "--alpha", "1.5"]) == 0
+    assert calls == [(4, 4)]
 
 
 def _set_distances(value, *cells):

@@ -370,20 +370,39 @@ def test_doubling_covers_each_ball_once_and_only_above_the_running_max(monkeypat
     keys = [(ball, centers) for _, ball, centers, _, _ in greedy]
     assert len(set(keys)) == len(keys)
     assert _largest_cache(calls) <= 2 * m.n
-    worst = 1
+    running_max = 1
     for k, (name, ball, centers, cap, out) in enumerate(calls):
         if name == "greedy":
-            # Capped at the running maximum, and only on a larger ball.
-            assert cap == worst < ball.bit_count()
+            # Capped at the power of two at or above the running maximum,
+            # and only on a larger ball.
+            assert cap == 1 << (running_max - 1).bit_length() < ball.bit_count()
             if mode == "greedy":
-                worst = max(worst, out)
+                running_max = max(running_max, out)
         else:
             # Only right after a capped greedy cover of the ball above its cap.
             before = calls[k - 1]
             assert mode == "exact" and before[:3] == ("greedy", ball, centers)
             assert before[4] > before[3]
-            worst = max(worst, out)
-    assert (worst - 1).bit_length() == value
+            running_max = max(running_max, out)
+    assert (running_max - 1).bit_length() == value
+
+
+@pytest.mark.parametrize("mode, greedy, exact", [("greedy", 225, 0), ("exact", 71, 4)])
+def test_doubling_work_on_twenty_gaussian_points(monkeypatch, mode, greedy, exact):
+    # Cover counts are deterministic, so a change in the scan's work shows
+    # here even where wall time cannot resolve it.
+    m = induced_metric(PointSet(np.random.default_rng(20).standard_normal((20, 3))))
+    value, calls = _scan_work(monkeypatch, m, mode)
+    assert value == 4
+    names = [c[0] for c in calls]
+    assert (names.count("greedy"), names.count("exact")) == (greedy, exact)
+
+
+@pytest.mark.parametrize("mode, sizes", [("greedy", range(1, 21)), ("exact", range(1, 15))])
+def test_doubling_of_a_uniform_space_straddles_the_bucket_edges(mode, sizes):
+    # The whole-space ball needs n half-balls, and no ball needs more.
+    for n in sizes:
+        assert doubling_dimension(_uniform(n), mode=mode) == (n - 1).bit_length()
 
 
 def test_greedy_doubling_completes_fewer_covers_than_the_class_cached_scan(monkeypatch):
