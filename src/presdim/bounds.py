@@ -11,14 +11,14 @@ class count only grows with the subset; its exact search is skipped, and the
 maxima over the profile equal those over every candidate.
 
 Upper bounds evaluate the ceiling rules of ``construct.CONSTRUCTIONS`` on the
-graph's level-free ``construct.GraphFacts``, and a report can cross-validate
-each constructive bound by building the embedding from the same table row
-and certifying it.
+graph's ``GraphAnalysis``, which builds each level-free part a rule reads
+(clique cover, quotient, degree, spectrum) on first read, and a report can
+cross-validate each constructive bound by building the embedding from the
+same table row and certifying it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -26,18 +26,29 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
-from .construct import BY_TAG, CONSTRUCTIONS, GraphFacts, graph_facts
-from .graph import Graph, _pack_rows, ball_matrices, bits, connected_components, diameter
+from .construct import BY_TAG, CONSTRUCTIONS
+from .graph import (
+    Graph,
+    _pack_rows,
+    ball_matrices,
+    bits,
+    connected_components,
+    diameter,
+    quotient_by_neighborhood,
+    spectrum_top2,
+)
 from .partition import (
     SearchBudgetExceeded,
+    VertexPartition,
     _dsatur_greedy,
     _greedy_clique_mask,
     clique_cover,
+    gated_clique_cover,
     independence_number,
     neighborhood_class_count,
 )
 from .preserve import alpha2_feasible, check
-from .util import int_ceil
+from .util import dump_json, int_ceil
 
 __all__ = [
     "LowerBound",
@@ -187,8 +198,28 @@ class GraphAnalysis:
         return tuple((e.diameter, e.floor, e.classes) for e in self.entries)
 
     @cached_property
-    def facts(self) -> GraphFacts:
-        return graph_facts(self.g, self.limits)
+    def cover(self) -> VertexPartition:  # the gated clique partition the ceilings count
+        return gated_clique_cover(self.g, self.limits.exact_cover)
+
+    @cached_property
+    def quotient(self) -> Graph:  # by closed-neighborhood classes
+        return quotient_by_neighborhood(self.g)
+
+    @cached_property
+    def block_classes(self) -> int:  # the most neighborhood classes inside one cover block
+        return max((neighborhood_class_count(self.g, b) for b in self.cover.blocks), default=1)
+
+    @cached_property
+    def degree(self) -> int | None:  # the common degree of a regular graph on 2+ vertices
+        degrees = set(self.g.degrees())
+        return degrees.pop() if len(degrees) == 1 and self.g.n > 1 else None
+
+    @cached_property
+    def lam(self) -> float:
+        """Top adjacency eigenvalue of the quotient, read only by the spectral
+        rule: BLAS worker threads spin for a while after ``eigvalsh``, which
+        would cost CPU time on every report whose levels never read it."""
+        return spectrum_top2(self.quotient)[0]
 
     @cached_property
     def diameter(self) -> float:
@@ -211,7 +242,7 @@ class GraphAnalysis:
         return profile_lower(self.profile, alpha)
 
     def upper_bounds(self, alpha: float) -> tuple[list[UpperBound], list[tuple[str, str]]]:  # alpha in (0, 2)
-        rules = [(row.tag, *row.ceiling(self.facts, alpha)) for row in CONSTRUCTIONS if row.ceiling is not None]
+        rules = [(row.tag, *row.ceiling(self, alpha)) for row in CONSTRUCTIONS if row.ceiling is not None]
         ups = [UpperBound(tag, value, constructive=True, note=text) for tag, value, text in rules if value is not None]
         return ups, [(tag, text) for tag, value, text in rules if value is None]
 
@@ -453,8 +484,8 @@ def report(
     ``validate`` controls whether constructive uppers are built and
     certified; default: only for graphs of at most ``VALIDATION_LIMIT`` vertices.
     """
-    if not alpha > 0:  # NaN too, before the subset profile is built
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:  # NaN too, before the subset profile is built
+        raise ValueError("alpha must be positive and finite")
     feasible = alpha < 2 or alpha2_feasible(g)
     lowers = [LowerBound("trivial_nonneg", 0.0)] if feasible else []
     ups, omitted = [], []
@@ -487,20 +518,15 @@ def report(
 
 
 def report_to_json(rep: BoundReport) -> str:
-    def num(x: float) -> float | str:
-        if math.isinf(x):
-            return "-inf" if x < 0 else "inf"
-        return x
-
-    doc = {
+    return dump_json({
         "graph_digest": rep.graph_digest,
         "alpha": rep.alpha,
         "feasible": rep.feasible,
-        "lower_bounds": [[lb.tag, num(lb.value)] for lb in rep.lower_bounds],
+        "lower_bounds": [[lb.tag, lb.value] for lb in rep.lower_bounds],
         "upper_bounds": [
             {
                 "tag": ub.tag,
-                "value": num(ub.value),
+                "value": ub.value,
                 "constructive": ub.constructive,
                 "verified": ub.verified,
                 "note": ub.note,
@@ -508,10 +534,9 @@ def report_to_json(rep: BoundReport) -> str:
             for ub in rep.upper_bounds
         ],
         "omitted": [list(pair) for pair in rep.omitted],
-        "interval": None if rep.interval is None else [num(x) for x in rep.interval],
+        "interval": rep.interval,
         "notes": list(rep.notes),
-    }
-    return json.dumps(doc, indent=2)
+    })
 
 
 def format_report(rep: BoundReport) -> str:

@@ -26,8 +26,16 @@ from .graph import (
     write_edge_list,
 )
 from .partition import SearchBudgetExceeded
+from .util import dump_json
 
 __all__ = ["main"]
+
+
+def _write_out(path: str | None, doc: str) -> None:
+    """Write a verb's JSON document to its ``--out`` file, if one was given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(doc + "\n")
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -44,10 +52,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         limits = replace(DEFAULT_LIMITS, exact_cover=0)
     rep = bounds.report(g, args.alpha, limits=limits)
     print(bounds.format_report(rep))
-    doc = bounds.report_to_json(rep)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc + "\n")
+    _write_out(args.out, bounds.report_to_json(rep))
     return 0
 
 
@@ -56,8 +61,7 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     res = construct.BY_CLI[args.construction].build(g, args.alpha, args.seed, DEFAULT_LIMITS)
     doc = construct.result_to_json(res)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc + "\n")
+        _write_out(args.out, doc)
         print(f"wrote {args.out}: source={res.source} dim_bound={res.claimed_dim_bound}")
     else:
         print(doc)
@@ -69,7 +73,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.embedding) as fh:
         res = construct.result_from_json(fh.read())
     if isinstance(res.target, metric.FiniteMetric):
-        # result_from_json has already run validate_entries on the matrix.
+        # result_from_json has already run validate_entries on the matrix. The
+        # identity and triangle checks stay out of that reader, which `doubling
+        # --embedding` shares: there they cost each doubling call on a 14-point
+        # prop6 target about 0.25 ms (median 0.41-0.56 -> 0.68-0.82 ms, 2 vCPUs).
         bad = metric._validate_identity_and_triangle(res.target)
         if bad is not None:
             raise ValueError(
@@ -77,9 +84,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
     cert = preserve.check(g, res, args.alpha)
     doc = preserve.certificate_to_json(cert)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc + "\n")
+    _write_out(args.out, doc)
     print(doc)
     return 0 if cert.passed else 1
 
@@ -128,10 +133,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         )
     else:  # pragma: no cover
         raise ValueError(f"unknown experiment {kind}")
-    doc = json.dumps(res.to_dict(), indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc + "\n")
+    doc = dump_json(res.to_dict())
+    _write_out(args.out, doc)
     print(doc)
     return 0
 

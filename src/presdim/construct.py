@@ -9,9 +9,9 @@ log2(5) in Euclidean ones (half-radius ball covers of a cube and a ball).
 ``CONSTRUCTIONS`` is the one table that ties each construction to its
 ``presdim embed`` name, its report tag and the ceiling rule that
 ``bounds.upper_bounds`` evaluates; a ceiling and its builder's claimed bound
-share the dimension arithmetic defined here. Ceiling rules do no graph work:
-they read the level-free :class:`GraphFacts` that ``graph_facts`` computes
-once per graph.
+share the dimension arithmetic defined here. Ceiling rules do no graph work
+of their own: they read the level-free parts of the graph's
+``bounds.GraphAnalysis``, each computed on first read and at most once.
 """
 
 from __future__ import annotations
@@ -19,33 +19,28 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS, Limits
+from .config import Limits
 from .graph import (
     Graph,
     GenerationError,
     all_pairs_distances,
     connected_components,
     group_index,
-    quotient_by_neighborhood,
     quotient_with_map,
     require_seed,
     rng_for,
-    spectrum_top2,
 )
 from .metric import FiniteMetric, PointSet, validate_entries, validate_metric
-from .partition import (
-    VertexPartition,
-    gated_clique_cover,
-    neighborhood_class_count,
-    neighborhood_partition,
-)
+from .partition import gated_clique_cover, neighborhood_partition
 from .preserve import check, mapped_distances
 from .util import int_ceil, sorted_distinct
+
+if TYPE_CHECKING:  # bounds imports this module
+    from .bounds import GraphAnalysis
 
 __all__ = [
     "EmbeddingResult",
@@ -64,8 +59,6 @@ __all__ = [
     "center_and_normalize",
     "result_to_json",
     "result_from_json",
-    "GraphFacts",
-    "graph_facts",
     "Construction",
     "CONSTRUCTIONS",
     "BY_TAG",
@@ -750,46 +743,11 @@ def result_from_json(text: str) -> EmbeddingResult:
 
 
 # -- the construction table ---------------------------------------------------------
-# Builders take (g, alpha, seed, limits). A ceiling rule takes (facts, alpha),
-# facts being the level-free GraphFacts of the graph, and gives (value, note)
-# where its bound applies and (None, reason for the omission) elsewhere.
-
-
-@dataclass(frozen=True)
-class GraphFacts:
-    """The level-free graph invariants the ceiling rules read.
-
-    ``cover`` is the gated clique partition the report counts, ``quotient``
-    the neighborhood-class quotient, ``block_classes`` the largest number of
-    neighborhood classes inside one cover block and ``degree`` the common
-    degree of a regular graph on at least 2 vertices (None otherwise).
-    """
-
-    n: int
-    cover: VertexPartition
-    quotient: Graph
-    block_classes: int
-    degree: int | None
-
-    @cached_property
-    def lam(self) -> float:
-        """Top adjacency eigenvalue of the quotient, computed on first use:
-        BLAS worker threads spin for a while after ``eigvalsh``, which would
-        cost CPU time on every report whose levels never read it."""
-        return spectrum_top2(self.quotient)[0]
-
-
-def graph_facts(g: Graph, limits: Limits = DEFAULT_LIMITS) -> GraphFacts:
-    """Compute the facts every ceiling rule reads, once per graph."""
-    cover = gated_clique_cover(g, limits.exact_cover)
-    degrees = set(g.degrees())
-    return GraphFacts(
-        n=g.n,
-        cover=cover,
-        quotient=quotient_by_neighborhood(g),
-        block_classes=max((neighborhood_class_count(g, b) for b in cover.blocks), default=1),
-        degree=degrees.pop() if len(degrees) == 1 and g.n > 1 else None,
-    )
+# Builders take (g, alpha, seed, limits). A ceiling rule takes (analysis, alpha),
+# analysis being the graph's bounds.GraphAnalysis, of which a rule reads only
+# the level-free parts g, cover, quotient, block_classes, degree and lam, and
+# gives (value, note) where its bound applies and (None, reason for the
+# omission) elsewhere.
 
 
 Ceiling = tuple[float | None, str]
@@ -802,51 +760,51 @@ class Construction:
     tag: str | None
     cli: str | None
     build: Callable[[Graph, float, int | None, Limits], EmbeddingResult]
-    ceiling: Callable[[GraphFacts, float], Ceiling] | None = None
+    ceiling: Callable[[GraphAnalysis, float], Ceiling] | None = None
 
 
-def _collapse_ceiling(facts: GraphFacts, alpha: float) -> Ceiling:
+def _collapse_ceiling(analysis: GraphAnalysis, alpha: float) -> Ceiling:
     if alpha >= 1:
         return None, "needs alpha < 1"
-    return float(linf_dim(grid_dim(facts.cover.size, int_ceil(1 / alpha)))), ""
+    return float(linf_dim(grid_dim(analysis.cover.size, int_ceil(1 / alpha)))), ""
 
 
-def _pseudo_metric_ceiling(facts: GraphFacts, alpha: float) -> Ceiling:
+def _pseudo_metric_ceiling(analysis: GraphAnalysis, alpha: float) -> Ceiling:
     if alpha < 1:
         return None, "needs alpha >= 1"
     if alpha == 1:
         note = "limit realization of the (1, 2) construction"
-        return float(pseudo_metric_dim(facts.cover.size, 1, 1.0)), note
-    return float(pseudo_metric_dim(facts.cover.size, facts.block_classes, alpha)), ""
+        return float(pseudo_metric_dim(analysis.cover.size, 1, 1.0)), note
+    return float(pseudo_metric_dim(analysis.cover.size, analysis.block_classes, alpha)), ""
 
 
-def _quotient_ceiling(facts: GraphFacts, alpha: float) -> Ceiling:
+def _quotient_ceiling(analysis: GraphAnalysis, alpha: float) -> Ceiling:
     if alpha < 1:
         return None, "collapse bound already applies below 1"
-    return float(linf_dim(facts.quotient.n)), ""
+    return float(linf_dim(analysis.quotient.n)), ""
 
 
-def _ball_collapse_ceiling(facts: GraphFacts, alpha: float) -> Ceiling:
+def _ball_collapse_ceiling(analysis: GraphAnalysis, alpha: float) -> Ceiling:
     if alpha >= 1 / math.sqrt(2):
         return None, "needs alpha < 1/sqrt(2)"
-    return float(l2_dim(packing_dim(facts.cover.size, 1.0, alpha))), ""
+    return float(l2_dim(packing_dim(analysis.cover.size, 1.0, alpha))), ""
 
 
-def _simplex_ceiling(facts: GraphFacts, alpha: float) -> Ceiling:
+def _simplex_ceiling(analysis: GraphAnalysis, alpha: float) -> Ceiling:
     if alpha >= 1:
         return None, "needs alpha < 1"
     if alpha <= 1 / math.sqrt(3):
         return None, "needs alpha in (1/sqrt(3), 1)"
-    return float(l2_dim(simplex_jl_coords(facts.cover.size, alpha))), ""
+    return float(l2_dim(simplex_jl_coords(analysis.cover.size, alpha))), ""
 
 
-def _spectral_ceiling(facts: GraphFacts, alpha: float) -> Ceiling:
+def _spectral_ceiling(analysis: GraphAnalysis, alpha: float) -> Ceiling:
     if alpha < 1:
         return None, "spectral route targets alpha >= 1"
-    quotient = facts.quotient
+    quotient = analysis.quotient
     if quotient.edge_count == 0:
         return None, "quotient has no edges"
-    lam = facts.lam
+    lam = analysis.lam
     ceiling = math.inf if lam <= 1 else (1.0 - 1.0 / (4.0 * lam)) ** -0.5
     if alpha >= ceiling:
         return None, f"alpha >= (1 - 1/(4 lambda))^-1/2 = {ceiling:.6f}"
@@ -854,18 +812,18 @@ def _spectral_ceiling(facts: GraphFacts, alpha: float) -> Ceiling:
     return float(l2_dim(min(spectral_coords(lam, quotient.n), quotient.n - 1))), ""
 
 
-def _regular_ceiling(facts: GraphFacts, alpha: float) -> Ceiling:
-    k = facts.degree
+def _regular_ceiling(analysis: GraphAnalysis, alpha: float) -> Ceiling:
+    k = analysis.degree
     if k is None:
         return None, "graph is not regular"
     if k < 1:
         return None, "edgeless graph"
     if alpha >= math.sqrt(1.0 + 1.0 / (4.0 * k)):
         return None, "alpha outside (0, sqrt(1 + 1/(4k)))"
-    if facts.quotient.n > 1 and facts.quotient.edge_count == 0:
+    if analysis.quotient.n > 1 and analysis.quotient.edge_count == 0:
         # Equal disjoint cliques: schoenberg_embedding has no quotient edge to scale.
         return None, "quotient has no edges"
-    return float(spectral_coords(k, facts.n)), ""
+    return float(spectral_coords(k, analysis.g.n)), ""
 
 
 def _project(
@@ -889,7 +847,7 @@ def _regular_jl(g: Graph, alpha: float, seed: int | None, limits: Limits) -> Emb
 
 CONSTRUCTIONS: tuple[Construction, ...] = (
     Construction("shortest_path", "spm", lambda g, a, seed, lim: shortest_path_metric(g),
-                 lambda facts, a: (float(shortest_path_dim(facts.n)), "")),
+                 lambda analysis, a: (float(shortest_path_dim(analysis.g.n)), "")),
     Construction("linf_collapse", "collapse",
                  lambda g, a, seed, lim: clique_collapse_linf(g, a, limit=lim.exact_cover),
                  _collapse_ceiling),

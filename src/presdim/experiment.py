@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 from .bounds import (
@@ -28,6 +28,7 @@ from .bounds import (
 from .config import DEFAULT_LIMITS
 from .graph import derive_seed, diameter, gen_family, gen_gnp, gen_planted_partition, planted_sizes
 from .partition import SearchBudgetExceeded, clique_number, independence_number, neighborhood_class_count
+from .util import dump_json
 
 __all__ = [
     "MCResult",
@@ -68,21 +69,22 @@ class TrialRecord:
     row: dict
 
 
-def _run(fn: Callable, args: list, jobs: int) -> list:
+def _run(trial: Callable[[int], object], trials: int, jobs: int) -> list:
+    """``trial`` of each index in range(trials), in order, on ``jobs`` processes."""
+    if trials < 1:
+        raise ValueError(f"needs trials >= 1, got trials={trials}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs == 1:
-        return [fn(a) for a in args]
+        return [trial(t) for t in range(trials)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(args) // (jobs * 4))
-        return list(pool.map(fn, args, chunksize=chunk))
+        return list(pool.map(trial, range(trials), chunksize=max(1, trials // (jobs * 4))))
 
 
 # -- individual experiments ----------------------------------------------------
 
 
-def _trial_diameter2(args: tuple) -> bool:
-    n, q, seed, t = args
+def _trial_diameter2(n: int, q: float, seed: int, t: int) -> bool:
     return diameter(gen_gnp(n, q, derive_seed(seed, t))) <= 2
 
 
@@ -91,9 +93,7 @@ def mc_diameter2(n: int, q: float, trials: int, seed: int, jobs: int = 1) -> MCR
     floor 1 - n^2 exp(-q^2 (n-1)) (clamped when vacuous)."""
     if n < 1:
         raise ValueError(f"diameter2 experiment needs n >= 1, got n={n}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    hits = sum(_run(_trial_diameter2, [(n, q, seed, t) for t in range(trials)], jobs))
+    hits = sum(_run(partial(_trial_diameter2, n, q, seed), trials, jobs))
     floor, clamped = diameter2_probability_floor(n, q)
     return MCResult(
         name="diameter2",
@@ -106,8 +106,7 @@ def mc_diameter2(n: int, q: float, trials: int, seed: int, jobs: int = 1) -> MCR
     )
 
 
-def _trial_clique(args: tuple) -> int:
-    n, seed, t = args
+def _trial_clique(n: int, seed: int, t: int) -> int:
     return clique_number(gen_gnp(n, 0.5, derive_seed(seed, t)), mode="exact")
 
 
@@ -116,10 +115,8 @@ def mc_clique_number(n: int, trials: int, seed: int, jobs: int = 1) -> MCResult:
     first-moment ceiling n^m 2^(-C(m,2))."""
     if n < 1:
         raise ValueError(f"clique experiment needs n >= 1, got n={n}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
     m = math.ceil(2.0 * math.sqrt(n))
-    kappas = _run(_trial_clique, [(n, seed, t) for t in range(trials)], jobs)
+    kappas = _run(partial(_trial_clique, n, seed), trials, jobs)
     ceiling, clamped = clique_number_markov_ceiling(n)
     return MCResult(
         name="clique_number",
@@ -133,8 +130,7 @@ def mc_clique_number(n: int, trials: int, seed: int, jobs: int = 1) -> MCResult:
     )
 
 
-def _trial_theorem2(args: tuple) -> tuple[float, int, float]:
-    n, alpha, seed, t = args
+def _trial_theorem2(n: int, alpha: float, seed: int, t: int) -> tuple[float, int, float]:
     g = gen_gnp(n, 0.5, derive_seed(seed, t))
     kappa = clique_number(g, mode="exact")
     diam = diameter(g)
@@ -154,13 +150,11 @@ def mc_theorem2(
     """
     if n < 2:
         raise ValueError(f"theorem 2 needs n >= 2, got n={n}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
     if not 0 < alpha < 2:
         raise ValueError("theorem 2 needs alpha in (0, 2)")
     formulas = theorem_formulas(n=n, alpha=alpha)
     formula = formulas["typical_gnp_lower"]
-    rows = _run(_trial_theorem2, [(n, alpha, seed, t) for t in range(trials)], jobs)
+    rows = _run(partial(_trial_theorem2, n, alpha, seed), trials, jobs)
     meets = sum(1 for value, _, _ in rows if value >= formula - 1e-12)
     return MCResult(
         name="theorem2",
@@ -178,8 +172,7 @@ def mc_theorem2(
     )
 
 
-def _trial_planted(args: tuple) -> tuple[bool, bool, int]:
-    sizes, p, q, seed, t = args
+def _trial_planted(sizes: tuple[int, ...], p: float, q: float, seed: int, t: int) -> tuple[bool, bool, int]:
     g = gen_planted_partition(list(sizes), p, q, derive_seed(seed, t))
     full_classes = neighborhood_class_count(g) == g.n
     diam2 = diameter(g) <= 2
@@ -200,10 +193,8 @@ def mc_planted(
     """Planted-partition experiment: frequency of all-distinct neighborhoods
     (the event behind the recoverability lower bound) against its floor, with
     per-trial diameter and clique-number aggregates."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
     sizes = tuple(planted_sizes(n, k))
-    rows = _run(_trial_planted, [(sizes, p, q, seed, t) for t in range(trials)], jobs)
+    rows = _run(partial(_trial_planted, sizes, p, q, seed), trials, jobs)
     frac_full = sum(1 for f, _, _ in rows if f) / trials
     frac_diam2 = sum(1 for _, d, _ in rows if d) / trials
     kappas = [kk for _, _, kk in rows]
@@ -293,21 +284,19 @@ def sweep(config: dict, jobs: int = 1) -> list[TrialRecord]:
         raise ValueError(f"malformed sweep config: {exc}") from exc
     if n < 1:
         raise ValueError(f"sweep needs n >= 1, got n={n}")
-    if trials < 1:
-        raise ValueError(f"sweep needs trials >= 1, got trials={trials}")
     for alpha in alphas:
         if not alpha > 0:  # NaN too
             raise ValueError(f"alpha must be positive, got alpha={alpha}")
     p = float(config.get("p", 0.5))
     q = float(config.get("q", 0.0))
     k = int(config.get("k", 0))
-    args = [(family, n, p, q, k, seed, t, tuple(alphas)) for t in range(trials)]
-    nested = _run(_sweep_trial, args, jobs)
+    nested = _run(partial(_sweep_trial, family, n, p, q, k, seed, tuple(alphas)), trials, jobs)
     return [rec for group in nested for rec in group]
 
 
-def _sweep_trial(args: tuple) -> list[TrialRecord]:
-    family, n, p, q, k, seed, t, alphas = args
+def _sweep_trial(
+    family: str, n: int, p: float, q: float, k: int, seed: int, alphas: tuple[float, ...], t: int
+) -> list[TrialRecord]:
     trial_seed = derive_seed(seed, t)
     g = gen_family(family, n, p, q, k, trial_seed)
     analysis = graph_analysis(g)
@@ -339,9 +328,9 @@ def _sweep_trial(args: tuple) -> list[TrialRecord]:
             "clique_number": kappa,
             "independence_number": iota,
             "clique_mode": clique_mode,
-            "cover_size": analysis.facts.cover.size,
-            "cover_mode": analysis.facts.cover.mode,
-            "n_classes": analysis.facts.quotient.n,
+            "cover_size": analysis.cover.size,
+            "cover_mode": analysis.cover.mode,
+            "n_classes": analysis.quotient.n,
             "lower_clique_partition": lower_cp,
             "lower_neighborhood": lower_nb,
             "upper_min": upper_min,
@@ -365,4 +354,4 @@ def write_csv(records: Sequence[TrialRecord], path: str) -> None:
 
 
 def results_to_json(results: Sequence[MCResult]) -> str:
-    return json.dumps([r.to_dict() for r in results], indent=2)
+    return dump_json([r.to_dict() for r in results])

@@ -20,6 +20,7 @@ import numpy as np
 
 from .graph import Graph, all_pairs_distances, complement_matrix, connected_components, neighborhood_classes
 from .metric import FiniteMetric, PointSet
+from .util import dump_json
 
 __all__ = [
     "PreservationCertificate",
@@ -226,11 +227,7 @@ def measured_distortion(g: Graph, p: PointSet) -> float:
 
 
 def certificate_to_json(cert: PreservationCertificate) -> str:
-    d = asdict(cert)
-    for key in ("r", "max_neighbor", "min_nonneighbor", "alpha_max"):
-        if d[key] is not None and math.isinf(d[key]):
-            d[key] = "inf"
-    return json.dumps(d, indent=2)
+    return dump_json(asdict(cert))
 
 
 def certificate_from_json(text: str) -> PreservationCertificate:

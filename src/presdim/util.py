@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
-__all__ = ["int_ceil", "sorted_distinct"]
+__all__ = ["dump_json", "int_ceil", "sorted_distinct"]
 
 _TOL = 1e-9
 
@@ -21,6 +22,23 @@ def int_ceil(x: float) -> int:
     rounding noise of a quotient grows with its magnitude.
     """
     return math.ceil(x - max(_TOL, abs(x) * _TOL))
+
+
+def dump_json(doc: object) -> str:
+    """``doc`` as ``indent=2`` RFC 8259 JSON, which has no infinity: an
+    infinite float is written as the string "inf" or "-inf", and a NaN raises
+    ``ValueError`` rather than write what strict parsers reject."""
+    return json.dumps(_inf_as_text(doc), indent=2, allow_nan=False)
+
+
+def _inf_as_text(doc: object) -> object:
+    if isinstance(doc, float) and math.isinf(doc):
+        return "-inf" if doc < 0 else "inf"
+    if isinstance(doc, dict):
+        return {key: _inf_as_text(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_inf_as_text(value) for value in doc]
+    return doc
 
 
 def sorted_distinct(a: np.ndarray, most: int | None = None) -> np.ndarray | None:

@@ -79,6 +79,13 @@ def test_the_empty_vertex_set_is_rejected():
             run()
 
 
+def test_report_rejects_a_level_that_is_not_finite():
+    g = gen_named("cycle", 6)
+    for alpha in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            report(g, alpha)
+
+
 def test_lower_neighborhood_two_cliques_matched():
     tcm = gen_named("two_cliques_matched", 10)
     value = lower_neighborhood(tcm, 1.5)
@@ -409,7 +416,7 @@ def test_graph_facts_are_computed_once_per_report_and_sweep_trial(monkeypatch):
         return len(covers), len(quotients), len(spectra)
 
     g = gen_gnp(30, 0.5, 3)
-    assert counts(lambda: report(g, 0.8, validate=False)) == (1, 1, 0)
+    assert counts(lambda: report(g, 0.8, validate=False)) == (1, 0, 0)  # no rule reads the quotient below 1
     assert counts(lambda: report(g, 1.5, validate=False)) == (1, 1, 1)
     cfg = {"family": "gnp", "n": 30, "trials": 1, "alpha_grid": "0.6,0.8,1.2,1.5,1.8"}
     assert counts(lambda: sweep(cfg)) == (1, 1, 1)  # one of each per trial
@@ -493,7 +500,12 @@ def test_sweep_raises_at_once_when_the_profiles_search_is_spent(monkeypatch):
 def test_graph_analysis_equals_the_separate_computations(g):
     analysis = bounds.graph_analysis(g)
     assert analysis.profile == tuple(bounds.subset_profile(g))
-    assert analysis.facts == construct.graph_facts(g)
+    assert analysis.cover == partition.gated_clique_cover(g)
+    quotient = graph.quotient_by_neighborhood(g)
+    assert analysis.quotient == quotient
+    assert analysis.block_classes == max(neighborhood_class_count(g, b) for b in analysis.cover.blocks)
+    assert analysis.degree == (g.degree(0) if g.n > 1 and len(set(g.degrees())) == 1 else None)
+    assert analysis.lam == graph.spectrum_top2(quotient)[0]
     assert analysis.diameter == diameter(g) and type(analysis.diameter) is type(diameter(g))
     connected_and_large = analysis.diameter < math.inf and g.n > DEFAULT_LIMITS.exact_cover
     assert analysis.iota == (partition.independence_number(g) if connected_and_large else None)

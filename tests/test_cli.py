@@ -360,6 +360,46 @@ def test_experiment_rejects_tiny_n_and_jobs_below_one(argv, message, capsys):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+@pytest.mark.parametrize("kind", ["diameter2", "clique", "theorem2", "planted"])
+def test_experiment_rejects_zero_trials(kind, capsys):
+    assert main(["experiment", "--kind", kind, "--n", "8", "--trials", "0", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "needs trials >= 1, got trials=0" in captured.err
+
+
+def _strict_json(text):
+    """json.loads rejecting NaN and +-Infinity, which RFC 8259 JSON does not have."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_an_infinite_trial_value_is_written_as_valid_json(tmp_path, capsys):
+    # n = 4 samples disconnected graphs, whose clique-partition value is -inf.
+    out = tmp_path / "mc.json"
+    argv = ["experiment", "--kind", "theorem2", "--n", "4", "--trials", "20", "--seed", "1", "--out", str(out)]
+    assert main(argv) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["extras"]["mean_trial_value"] == "-inf"
+    assert _strict_json(out.read_text()) == doc
+
+
+def test_analyze_rejects_a_level_that_is_not_finite(tmp_path, capsys):
+    g_path, out = tmp_path / "g.el", tmp_path / "rep.json"
+    assert main(["generate", "--family", "cycle", "--n", "6", "--out", str(g_path)]) == 0
+    capsys.readouterr()
+    for level in ("inf", "nan"):
+        assert main(["analyze", str(g_path), "--alpha", level, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+    assert not out.exists()
+    assert main(["analyze", str(g_path), "--alpha", "2.5", "--out", str(out)]) == 0
+    assert _strict_json(out.read_text())["alpha"] == 2.5
+
+
 def test_spent_search_budget_exits_two(monkeypatch, capsys):
     # SearchBudgetExceeded is a RuntimeError; exit 1 would read as a failed verification.
     monkeypatch.setattr(partition, "DEFAULT_LIMITS", Limits(clique_budget=3))

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -80,6 +82,15 @@ def test_results_json():
     res = mc_diameter2(10, 0.9, 5, seed=9)
     doc = results_to_json([res])
     assert '"diameter2"' in doc
+
+
+def test_results_json_writes_infinities_as_text_and_refuses_nan():
+    res = mc_theorem2(4, 1.0, 20, seed=1)  # n = 4 samples disconnected graphs
+    assert res.extras["mean_trial_value"] == -math.inf
+    doc = json.loads(results_to_json([res]), parse_constant=pytest.fail)
+    assert doc[0]["extras"]["mean_trial_value"] == "-inf"
+    with pytest.raises(ValueError):
+        results_to_json([replace(res, empirical=math.nan)])
 
 
 SWEEP_CFG = {
