@@ -2,7 +2,7 @@
 """Tour of the seeded Monte Carlo experiments: empirical frequencies against
 their closed-form floors and ceilings, at desk scale.
 
-Run: python3 demos/monte_carlo_tour.py   (about half a minute)
+Run: python3 demos/monte_carlo_tour.py   (a few seconds)
 """
 
 import time

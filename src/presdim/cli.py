@@ -1,8 +1,8 @@
 """Command-line interface: generate, analyze, embed, verify, doubling, experiment.
 
 Exit codes: 0 success, 1 negative verification (a failed certificate or an
-exhausted probabilistic construction), 2 usage or I/O errors. All randomness
-sits behind an explicit --seed.
+exhausted probabilistic construction), 2 usage, I/O and out-of-memory
+errors. All randomness sits behind an explicit --seed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .graph import (
     RANDOM_FAMILIES,
     gen_family,
     read_edge_list,
-    require_seed,
     write_edge_list,
 )
 from .partition import SearchBudgetExceeded
@@ -117,8 +116,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         else:
             sys.stdout.write(experiment.rows_to_csv(records))
         return 0
-    seed = require_seed(args.seed)
-    trials = args.trials
+    seed, trials = args.seed, args.trials
     if trials is None:
         trials = 200 if kind in ("clique", "theorem2") else 500
     if kind == "diameter2":
@@ -216,6 +214,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except (ValueError, OSError, json.JSONDecodeError, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -167,6 +167,34 @@ def _identity_map(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
+def _one_point(vertex_map: Sequence[int], hi: float, source: str, norm: float = 2.0) -> EmbeddingResult:
+    """Every vertex on one point: the embedding of a graph whose vertices
+    share one clique block or one neighborhood class."""
+    return EmbeddingResult(
+        target=PointSet(np.zeros((1, 1)), norm=norm),
+        vertex_map=tuple(vertex_map),
+        claimed_alpha=(0.0, hi),
+        claimed_r=1.0,
+        claimed_dim_bound=0,
+        source=source,
+    )
+
+
+def _collapse(g: Graph, alpha: float, limit: int | None, label: str, norm: float,
+              pack: Callable[[int], PointSet], dim: Callable[[int], int]) -> EmbeddingResult:
+    """Collapse each block of the gated clique cover to one point of
+    ``pack(blocks)``, whose points sit pairwise >= alpha apart inside an open
+    unit-diameter ball: non-neighbors are separated while every neighbor pair
+    lands strictly inside threshold 1. ``dim`` converts the packing's axes to
+    its doubling bound. A single block needs no packing."""
+    part = gated_clique_cover(g, limit)
+    one = _one_point(part.part_index(), alpha, f"{label}[{part.mode}]", norm)
+    if part.size <= 1:
+        return one
+    pts = pack(part.size)
+    return replace(one, target=pts, claimed_dim_bound=dim(pts.dim))
+
+
 # -- shortest-path metric -----------------------------------------------------
 
 
@@ -238,24 +266,12 @@ def grid_packing_linf(n: int, r: float, eps: float) -> PointSet:
 def clique_collapse_linf(
     g: Graph, alpha: float, limit: int | None = None
 ) -> EmbeddingResult:
-    """Collapse each block of a clique partition to one sup-norm grid point.
-
-    Valid for levels up to (and including) ``alpha`` < 1: blocks sit pairwise
-    at gap >= alpha inside an open unit-diameter ball, so non-neighbors are
-    separated while every neighbor pair lands strictly inside threshold 1.
-    """
+    """Collapse each block of a clique partition to one sup-norm grid point,
+    valid for levels up to (and including) ``alpha`` < 1."""
     if not 0 < alpha < 1:
         raise ValueError("collapse embedding needs alpha in (0, 1)")
-    part = gated_clique_cover(g, limit)
-    pts = grid_packing_linf(max(part.size, 1), 1.0, alpha)
-    return EmbeddingResult(
-        target=pts,
-        vertex_map=tuple(part.part_index()),
-        claimed_alpha=(0.0, alpha),
-        claimed_r=1.0,
-        claimed_dim_bound=linf_dim(pts.dim) if part.size > 1 else 0,
-        source=f"linf_collapse[{part.mode}]",
-    )
+    return _collapse(g, alpha, limit, "linf_collapse", math.inf,
+                     lambda m: grid_packing_linf(m, 1.0, alpha), linf_dim)
 
 
 # -- Euclidean sphere packings and collapses ------------------------------------
@@ -322,21 +338,8 @@ def ball_collapse_l2(
     """Euclidean analogue of the sup-norm collapse, for alpha < 1/sqrt(2)."""
     if not 0 < alpha < 1 / math.sqrt(2):
         raise ValueError("ball collapse needs alpha in (0, 1/sqrt(2))")
-    part = gated_clique_cover(g, limit)
-    if part.size > 1:
-        pts = sphere_packing_l2(part.size, 1.0, alpha, seed)
-        bound = l2_dim(pts.dim)
-    else:
-        pts = PointSet(np.zeros((1, 1)), norm=2.0)
-        bound = 0
-    return EmbeddingResult(
-        target=pts,
-        vertex_map=tuple(part.part_index()),
-        claimed_alpha=(0.0, alpha),
-        claimed_r=1.0,
-        claimed_dim_bound=bound,
-        source=f"l2_ball_collapse[{part.mode}]",
-    )
+    return _collapse(g, alpha, limit, "l2_ball_collapse", 2.0,
+                     lambda m: sphere_packing_l2(m, 1.0, alpha, seed), l2_dim)
 
 
 # -- pseudo-metric construction for levels in (1, 2) -----------------------------
@@ -495,18 +498,14 @@ def _schoenberg(g: Graph) -> tuple[EmbeddingResult, float]:
     lambda, which is 0 for a single neighborhood class."""
     h, vmap = quotient_with_map(g)
     if h.n == 1:
-        # Single neighborhood class (complete graph): one point suffices.
-        return EmbeddingResult(
-            target=PointSet(np.zeros((1, 1)), norm=2.0),
-            vertex_map=tuple(vmap),
-            claimed_alpha=(0.0, 2.0),
-            claimed_r=1.0,
-            claimed_dim_bound=0,
-            source="schoenberg",
-        ), 0.0
+        return _one_point(vmap, 2.0, "schoenberg"), 0.0
     if h.edge_count == 0:
         raise ValueError("spectral embedding needs at least one quotient edge")
     a = h.adjacency_matrix()
+    # lam > 1: no two adjacent vertices of the quotient share a closed
+    # neighborhood, so a component with an edge u-v has a vertex w adjacent
+    # to exactly one of them. It thus holds an induced path on three
+    # vertices, and lam >= sqrt(2) by interlacing.
     lam = float(np.linalg.eigvalsh(a)[-1])
     comp = np.ones((h.n, h.n)) - np.eye(h.n) - a
     d2 = comp + (1.0 - 1.0 / lam) * a
@@ -521,18 +520,12 @@ def _schoenberg(g: Graph) -> tuple[EmbeddingResult, float]:
     w = np.clip(w, 0.0, None)
     order = np.argsort(w)[::-1]
     pos = [i for i in order if w[i] > 0.0]
-    pts = v[:, pos] * np.sqrt(w[pos]) if pos else np.zeros((h.n, 1))
-    if lam <= 1.0:
-        amax = math.inf
-        hi = 2.0
-    else:
-        amax = (1.0 - 1.0 / lam) ** -0.5
-        hi = min(amax, 2.0)
-    big = math.sqrt(max(1.0 - 1.0 / lam, 0.0))
+    pts = v[:, pos] * np.sqrt(w[pos])
+    big = math.sqrt(1.0 - 1.0 / lam)
     return EmbeddingResult(
         target=PointSet(pts, norm=2.0),
         vertex_map=tuple(vmap),
-        claimed_alpha=(0.0, hi),
+        claimed_alpha=(0.0, min((1.0 - 1.0 / lam) ** -0.5, 2.0)),
         claimed_r=(big + 1.0) / 2,
         claimed_dim_bound=l2_dim(pts.shape[1]),
         source="schoenberg",
@@ -625,14 +618,7 @@ def simplex_embedding(
     m = part.size
     vmap = tuple(part.part_index())
     if m == 1:
-        return EmbeddingResult(
-            target=PointSet(np.zeros((1, 1)), norm=2.0),
-            vertex_map=vmap,
-            claimed_alpha=(0.0, alpha),
-            claimed_r=1.0,
-            claimed_dim_bound=0,
-            source=f"simplex_jl[{part.mode}]",
-        )
+        return _one_point(vmap, alpha, f"simplex_jl[{part.mode}]")
     simplex = PointSet(np.eye(m) / math.sqrt(2.0), norm=2.0)
     result = jl_project(
         simplex, simplex_jl_coords(m, alpha), g, alpha, seed, retries=retries, vertex_map=vmap
@@ -804,8 +790,8 @@ def _spectral_ceiling(analysis: GraphAnalysis, alpha: float) -> Ceiling:
     quotient = analysis.quotient
     if quotient.edge_count == 0:
         return None, "quotient has no edges"
-    lam = analysis.lam
-    ceiling = math.inf if lam <= 1 else (1.0 - 1.0 / (4.0 * lam)) ** -0.5
+    lam = analysis.lam  # > 1, see _schoenberg
+    ceiling = (1.0 - 1.0 / (4.0 * lam)) ** -0.5
     if alpha >= ceiling:
         return None, f"alpha >= (1 - 1/(4 lambda))^-1/2 = {ceiling:.6f}"
     # Capped at c - 1 coordinates, while _spectral_jl projects to up to c.
@@ -829,9 +815,7 @@ def _regular_ceiling(analysis: GraphAnalysis, alpha: float) -> Ceiling:
 def _project(
     base: EmbeddingResult, g: Graph, alpha: float, seed: int | None, d: int
 ) -> EmbeddingResult:
-    return jl_project(
-        base.target, max(d, 1), g, alpha, require_seed(seed), vertex_map=base.vertex_map
-    )
+    return jl_project(base.target, max(d, 1), g, alpha, seed, vertex_map=base.vertex_map)
 
 
 def _spectral_jl(g: Graph, alpha: float, seed: int | None, limits: Limits) -> EmbeddingResult:
@@ -859,10 +843,10 @@ CONSTRUCTIONS: tuple[Construction, ...] = (
                  lambda g, a, seed, lim: frechet_quotient_embedding(g), _quotient_ceiling),
     Construction(None, "schoenberg", lambda g, a, seed, lim: schoenberg_embedding(g)),
     Construction("l2_ball_collapse", None,
-                 lambda g, a, seed, lim: ball_collapse_l2(
-                     g, a, require_seed(seed), limit=lim.exact_cover),
+                 lambda g, a, seed, lim: ball_collapse_l2(g, a, seed, limit=lim.exact_cover),
                  _ball_collapse_ceiling),
     Construction("l2_simplex_jl", "simplex-jl",
+                 # --seed is asked for even where the projection is isometric.
                  lambda g, a, seed, lim: simplex_embedding(
                      g, a, require_seed(seed), limit=lim.exact_cover),
                  _simplex_ceiling),

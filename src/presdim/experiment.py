@@ -151,7 +151,7 @@ def mc_theorem2(
     if n < 2:
         raise ValueError(f"theorem 2 needs n >= 2, got n={n}")
     if not 0 < alpha < 2:
-        raise ValueError("theorem 2 needs alpha in (0, 2)")
+        raise ValueError(f"theorem 2 needs alpha in (0, 2), got alpha={alpha}")
     formulas = theorem_formulas(n=n, alpha=alpha)
     formula = formulas["typical_gnp_lower"]
     rows = _run(partial(_trial_theorem2, n, alpha, seed), trials, jobs)
@@ -193,6 +193,8 @@ def mc_planted(
     """Planted-partition experiment: frequency of all-distinct neighborhoods
     (the event behind the recoverability lower bound) against its floor, with
     per-trial diameter and clique-number aggregates."""
+    if not 0 < alpha < math.inf:  # NaN too
+        raise ValueError(f"planted experiment needs a positive finite alpha, got alpha={alpha}")
     sizes = tuple(planted_sizes(n, k))
     rows = _run(partial(_trial_planted, sizes, p, q, seed), trials, jobs)
     frac_full = sum(1 for f, _, _ in rows if f) / trials

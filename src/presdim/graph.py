@@ -59,18 +59,27 @@ class GenerationError(RuntimeError):
     """Raised when a rejection-sampling generator exhausts its budget."""
 
 
+def require_seed(seed: int | None) -> int:
+    """``seed`` itself; every random draw starts from an explicit seed >= 0."""
+    if seed is None:
+        raise ValueError("this operation is randomized; pass --seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got seed={seed}")
+    return seed
+
+
 def rng_for(seed: int, *key: int) -> np.random.Generator:
     """Derive an independent generator from a root seed and an index key.
 
     Uses a splittable seed tree, so serial and parallel trial execution
     derive identical per-trial streams.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
+    return np.random.default_rng(np.random.SeedSequence(require_seed(seed), spawn_key=tuple(key)))
 
 
 def derive_seed(seed: int, *key: int) -> int:
     """Deterministic child seed for the given trial key (splittable scheme)."""
-    return int(np.random.SeedSequence(seed, spawn_key=tuple(key)).generate_state(1)[0])
+    return int(np.random.SeedSequence(require_seed(seed), spawn_key=tuple(key)).generate_state(1)[0])
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -292,6 +301,8 @@ def _sample_pairs(n: int, seed: int, prob: Callable[[int, int], float | np.ndarr
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdős–Rényi graph: each of the C(n,2) edges present with probability p."""
+    if n < 0:
+        raise ValueError(f"vertex count must be >= 0, got n={n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     return Graph.of(_sample_pairs(n, seed, lambda lo, hi: p))
@@ -308,6 +319,8 @@ def gen_kregular(n: int, k: int, seed: int, restarts: int = 1000) -> Graph:
     pair that adds a new simple edge, until no stub is left, or no pair of
     the leftover stubs could add one (a failed attempt).
     """
+    if n < 0 or k < 0:
+        raise ValueError(f"k-regular graphs need n, k >= 0, got n={n}, k={k}")
     if k >= n:
         raise ValueError("degree must be smaller than vertex count")
     if (n * k) % 2 != 0:
@@ -414,12 +427,6 @@ def gen_named(family: str, n: int) -> Graph:
 RANDOM_FAMILIES = ("gnp", "kregular", "planted")
 
 
-def require_seed(seed: int | None) -> int:
-    if seed is None:
-        raise ValueError("this operation is randomized; pass --seed")
-    return seed
-
-
 def planted_sizes(n: int, k: int) -> list[int]:
     """Sizes of k equal planted blocks on n vertices."""
     if k < 1 or n % k:
@@ -432,11 +439,11 @@ def gen_family(family: str, n: int, p: float, q: float, k: int, seed: int | None
     G(n, p), k-regular, or k equal planted blocks at p inside and q across.
     Random families need a seed; named ones ignore it and p, q, k."""
     if family == "gnp":
-        return gen_gnp(n, p, require_seed(seed))
+        return gen_gnp(n, p, seed)
     if family == "kregular":
-        return gen_kregular(n, k, require_seed(seed))
+        return gen_kregular(n, k, seed)
     if family == "planted":
-        return gen_planted_partition(planted_sizes(n, k), p, q, require_seed(seed))
+        return gen_planted_partition(planted_sizes(n, k), p, q, seed)
     return gen_named(family, n)
 
 

@@ -361,5 +361,4 @@ def neighborhood_partition(g: Graph, subset: Sequence[int] | None = None) -> Ver
 
 def neighborhood_class_count(g: Graph, subset: Sequence[int] | None = None) -> int:
     """Number of distinct closed neighborhoods among ``subset`` (default all)."""
-    vertices = range(g.n) if subset is None else subset
-    return len({g.closed_row(v) for v in vertices})
+    return len(neighborhood_classes(g, subset))

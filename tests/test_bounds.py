@@ -561,3 +561,14 @@ def test_each_part_of_an_analysis_is_computed_once(monkeypatch):
     assert analysis.entries[0] == bounds.ProfileEntry(
         (1 << 40) - 1, analysis.diameter, float(analysis.iota), analysis.entries[0].classes, True
     )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(2, 12), p=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+def test_a_quotient_with_an_edge_has_top_eigenvalue_at_least_sqrt2(n, p, seed):
+    """The reason the spectral rules need no branch for lam <= 1: an edge of
+    the quotient lies on an induced path of three vertices (construct._schoenberg)."""
+    analysis = bounds.graph_analysis(gen_gnp(n, p, seed))
+    if analysis.quotient.edge_count:
+        assert analysis.lam >= math.sqrt(2) - 1e-12
+

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from presdim import construct, metric, partition
+from presdim import construct, experiment, metric, partition
 from presdim.cli import build_parser, main
 from presdim.config import Limits
 from presdim.construct import result_from_json
@@ -464,3 +464,56 @@ def test_a_second_call_keeps_nothing_of_the_first(tmp_path, capsys):
         assert (main(second), capsys.readouterr()) == after
     assert after[0] == 2 and "pass --seed" in after[1].err
     assert build_parser() is build_parser()
+
+
+def test_a_negative_seed_exits_two_and_is_named(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("family=gnp\nn=8\ntrials=2\nseed=-1\nalpha_grid=0.5\n")
+    for argv in (
+        ["experiment", "--kind", "diameter2", "--n", "8", "--trials", "2", "--seed", "-1"],
+        ["experiment", "--kind", "sweep", "--config", str(cfg)],
+        ["generate", "--family", "gnp", "--n", "8", "--seed", "-1", "--out", str(tmp_path / "g.el")],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "seed must be >= 0, got seed=-1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--family", "gnp", "--n", "-3", "--seed", "1"], "got n=-3"),
+        (["--family", "kregular", "--n", "10", "--k", "-2", "--seed", "1"], "got n=10, k=-2"),
+        (["--family", "kregular", "--n", "-4", "--k", "2", "--seed", "1"], "got n=-4, k=2"),
+    ],
+    ids=["gnp-negative-n", "kregular-negative-k", "kregular-negative-n"],
+)
+def test_generate_names_a_negative_size(argv, message, tmp_path, capsys):
+    assert main(["generate", *argv, "--out", str(tmp_path / "g.el")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_a_graph_too_large_for_memory_exits_two(tmp_path, capsys):
+    # numpy refuses the 10^16-byte adjacency matrix at once; nothing is allocated.
+    path = tmp_path / "huge.el"
+    path.write_text("100000000 0\n")
+    for argv in (
+        ["analyze", str(path), "--alpha", "1.0"],
+        ["embed", str(path), "--construction", "spm"],
+        ["generate", "--family", "empty", "--n", "100000000", "--out", str(tmp_path / "g.el")],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: out of memory")
+
+
+@pytest.mark.parametrize("level", ["nan", "inf", "-1", "0"])
+def test_planted_experiment_rejects_a_level_before_its_trials(level, monkeypatch, capsys):
+    monkeypatch.setattr(experiment, "_trial_planted", lambda *a: pytest.fail("ran a trial"))
+    argv = ["experiment", "--kind", "planted", "--n", "8", "--k", "2", "--alpha", level, "--trials", "2", "--seed", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and f"got alpha={float(level)}" in captured.err

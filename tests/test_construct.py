@@ -225,6 +225,12 @@ def test_ball_collapse_l2():
         ball_collapse_l2(g, 0.8, seed=7)
 
 
+def test_ball_collapse_l2_draws_only_from_an_explicit_seed():
+    g = gen_named("empty", 4)  # four blocks, so the packing is drawn
+    with pytest.raises(ValueError, match="pass --seed"):
+        ball_collapse_l2(g, 0.5, None)
+
+
 # -- distance-coordinate embeddings ---------------------------------------------------
 
 

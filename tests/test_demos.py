@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["bounds_tour.py", "embeddings_tour.py"])
+@pytest.mark.parametrize("demo", ["bounds_tour.py", "embeddings_tour.py", "monte_carlo_tour.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -7,6 +7,7 @@ from presdim.graph import (
     GenerationError,
     Graph,
     all_pairs_distances,
+    derive_seed,
     diameter,
     from_edge_list,
     gen_gnp,
@@ -206,6 +207,15 @@ def test_rng_for_streams_are_independent_and_stable():
     b = rng_for(7, 1).random(3)
     assert not np.allclose(a, b)
     assert np.allclose(a, rng_for(7, 0).random(3))
+
+
+def test_every_random_draw_needs_an_explicit_nonnegative_seed():
+    for draw in (lambda: rng_for(None), lambda: derive_seed(None, 0), lambda: gen_gnp(5, 0.5, None)):
+        with pytest.raises(ValueError, match="this operation is randomized; pass --seed"):
+            draw()
+    for draw in (lambda: rng_for(-1), lambda: derive_seed(-1), lambda: gen_kregular(6, 2, -1)):
+        with pytest.raises(ValueError, match="seed must be >= 0, got seed=-1"):
+            draw()
 
 
 def test_induced_diameter_dominates_pairwise_distances():
