@@ -42,6 +42,7 @@ from .partition import (
     VertexPartition,
     _dsatur_greedy,
     _greedy_clique_mask,
+    _greedy_cliques,
     clique_cover,
     gated_clique_cover,
     independence_number,
@@ -148,11 +149,7 @@ def _floor_at_most(rows: Sequence[int], cand: int, bar: float, limits: Limits) -
     cliques proves it."""
     if cand.bit_count() > limits.exact_cover:
         return True
-    blocks = 0  # of the greedy clique cover, peeled off one clique at a time
-    while cand:
-        cand &= ~_greedy_clique_mask(rows, cand)
-        blocks += 1
-    return blocks <= bar
+    return sum(1 for _ in _greedy_cliques(rows, cand)) <= bar
 
 
 class ProfileEntry(NamedTuple):
@@ -518,24 +515,12 @@ def report(
 
 
 def report_to_json(rep: BoundReport) -> str:
+    """The report's fields in order, each lower bound as a ``[tag, value]``
+    pair; ``vars`` reads them without ``asdict``'s deep copy."""
     return dump_json({
-        "graph_digest": rep.graph_digest,
-        "alpha": rep.alpha,
-        "feasible": rep.feasible,
+        **vars(rep),
         "lower_bounds": [[lb.tag, lb.value] for lb in rep.lower_bounds],
-        "upper_bounds": [
-            {
-                "tag": ub.tag,
-                "value": ub.value,
-                "constructive": ub.constructive,
-                "verified": ub.verified,
-                "note": ub.note,
-            }
-            for ub in rep.upper_bounds
-        ],
-        "omitted": [list(pair) for pair in rep.omitted],
-        "interval": rep.interval,
-        "notes": list(rep.notes),
+        "upper_bounds": [vars(ub) for ub in rep.upper_bounds],
     })
 
 

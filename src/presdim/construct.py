@@ -34,10 +34,10 @@ from .graph import (
     require_seed,
     rng_for,
 )
-from .metric import FiniteMetric, PointSet, validate_entries, validate_metric
+from .metric import FiniteMetric, PointSet, checked, validate_metric
 from .partition import gated_clique_cover, neighborhood_partition
 from .preserve import check, mapped_distances
-from .util import int_ceil, sorted_distinct
+from .util import dump_json, int_ceil, sorted_distinct
 
 if TYPE_CHECKING:  # bounds imports this module
     from .bounds import GraphAnalysis
@@ -641,11 +641,11 @@ def center_and_normalize(p: PointSet, r: float) -> PointSet:
 
 
 def result_to_json(res: EmbeddingResult) -> str:
-    """The embedding as ``json.dumps(doc, indent=2)`` would write it.
+    """The embedding as ``util.dump_json(doc)`` would write it.
 
     ``indent`` selects CPython's pure-Python encoder, so only the small
-    header goes through it; the target's array is written by
-    ``_array_json``, which gives the same bytes.
+    header goes through ``dump_json`` (which refuses a NaN there); the
+    target's array is written by ``_array_json``, which gives the same bytes.
     """
     doc: dict = {
         "source": res.source,
@@ -663,7 +663,7 @@ def result_to_json(res: EmbeddingResult) -> str:
         doc["pseudo"] = res.target.pseudo
         key, array = "distance_matrix", res.target.dist
     # The header ends with "\n}"; the array is its last member.
-    return f'{json.dumps(doc, indent=2)[:-2]},\n  {json.dumps(key)}: {_array_json(array)}\n}}'
+    return f'{dump_json(doc)[:-2]},\n  {json.dumps(key)}: {_array_json(array)}\n}}'
 
 
 def _array_json(a: np.ndarray) -> str:
@@ -702,22 +702,12 @@ def result_from_json(text: str) -> EmbeddingResult:
         if "points" in doc:
             norm = math.inf if doc["norm"] == "inf" else float(doc["norm"])
             target: FiniteMetric | PointSet = PointSet(np.array(doc["points"]), norm=norm)
-            if not np.isfinite(target.points).all():
-                raise ValueError("malformed embedding document: points must be finite")
         else:
             target = FiniteMetric(
                 np.array(doc["distance_matrix"]), pseudo=bool(doc.get("pseudo", False))
             )
-            if not np.isfinite(target.dist).all():
-                raise ValueError("malformed embedding document: distances must be finite")
-            bad = validate_entries(target.dist)
-            if bad is not None:
-                raise ValueError(
-                    f"malformed embedding document: distance_matrix fails {bad.axiom} "
-                    f"at {bad.witness} ({bad.detail})"
-                )
         return EmbeddingResult(
-            target=target,
+            target=checked(target, "malformed embedding document"),
             vertex_map=tuple(doc["vertex_map"]),
             claimed_alpha=tuple(doc["alpha_interval"]),
             claimed_r=float(doc["r"]),

@@ -429,8 +429,8 @@ RANDOM_FAMILIES = ("gnp", "kregular", "planted")
 
 def planted_sizes(n: int, k: int) -> list[int]:
     """Sizes of k equal planted blocks on n vertices."""
-    if k < 1 or n % k:
-        raise ValueError(f"planted graphs need n divisible by k >= 1 blocks, got n={n}, k={k}")
+    if not 1 <= k <= n or n % k:
+        raise ValueError(f"planted graphs need n >= k >= 1 with k dividing n, got n={n}, k={k}")
     return [n // k] * k
 
 

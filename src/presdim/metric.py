@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TypeVar
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "MetricViolation",
     "validate_entries",
     "validate_metric",
+    "checked",
     "induced_metric",
     "covering_number",
     "packing_number",
@@ -552,6 +553,21 @@ def doubling_dimension(
 # PointSet: first line "n d p", then n coordinate rows. Lines starting with
 # '#' are comments.
 
+_Target = TypeVar("_Target", FiniteMetric, PointSet)
+
+
+def checked(target: _Target, where: str) -> _Target:
+    """``target`` as read from ``where`` (a path or a document) if its values
+    are finite and, for a distance matrix, its entries pass ``validate_entries``;
+    else ``ValueError`` naming ``where``. Every reader of outside data calls it."""
+    is_points = isinstance(target, PointSet)
+    if not np.isfinite(target.points if is_points else target.dist).all():
+        raise ValueError(f"{where}: {'coordinates' if is_points else 'distances'} must be finite")
+    bad = None if is_points else validate_entries(target.dist)
+    if bad is not None:
+        raise ValueError(f"{where}: distances fail {bad.axiom} at {bad.witness} ({bad.detail})")
+    return target
+
 
 def _data_lines(path: str) -> list[str]:
     with open(path) as fh:
@@ -579,13 +595,7 @@ def write_metric(m: FiniteMetric, path: str) -> None:
 def read_metric(path: str, pseudo: bool = False) -> FiniteMetric:
     lines = _data_lines(path)
     n = int(lines[0])
-    m = FiniteMetric(_table(path, lines[1:], n, n), pseudo=pseudo)
-    if not np.isfinite(m.dist).all():
-        raise ValueError(f"{path}: distances must be finite")
-    bad = validate_entries(m.dist)
-    if bad is not None:
-        raise ValueError(f"{path}: distances fail {bad.axiom} at {bad.witness} ({bad.detail})")
-    return m
+    return checked(FiniteMetric(_table(path, lines[1:], n, n), pseudo=pseudo), path)
 
 
 def write_points(p: PointSet, path: str) -> None:
@@ -601,7 +611,4 @@ def read_points(path: str) -> PointSet:
     n_tok, d_tok, p_tok = lines[0].split()
     n, dim = int(n_tok), int(d_tok)
     norm = math.inf if p_tok == "inf" else float(p_tok)
-    pts = _table(path, lines[1:], n, dim)
-    if not np.isfinite(pts).all():
-        raise ValueError(f"{path}: coordinates must be finite")
-    return PointSet(pts, norm=norm)
+    return checked(PointSet(_table(path, lines[1:], n, dim), norm=norm), path)

@@ -14,7 +14,7 @@ larger sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -97,6 +97,14 @@ def _greedy_clique_mask(rows: Sequence[int], cand: int) -> int:
         clique |= 1 << best_v
         cand &= rows[best_v]
     return clique
+
+
+def _greedy_cliques(rows: Sequence[int], cand: int) -> Iterator[int]:
+    """The greedy clique cover of ``cand``, one greedy clique peeled off at a time."""
+    while cand:
+        block = _greedy_clique_mask(rows, cand)
+        yield block
+        cand &= ~block
 
 
 def greedy_clique(g: Graph) -> list[int]:
@@ -327,12 +335,7 @@ def clique_cover(
         colors = _exact_coloring(_pack_rows(complement_matrix(g)), g.n, budget)
         groups = [[v for v, c in enumerate(colors) if c == k] for k in range(max(colors, default=-1) + 1)]
     elif mode == "greedy":
-        remaining = (1 << g.n) - 1
-        groups = []
-        while remaining:
-            block = _greedy_clique_mask(g.rows, remaining)
-            groups.append(list(bits(block)))
-            remaining &= ~block
+        groups = [list(bits(block)) for block in _greedy_cliques(g.rows, (1 << g.n) - 1)]
     else:
         raise ValueError("mode must be 'exact' or 'greedy'")
     return VertexPartition(_normalize_blocks(groups), mode=mode)

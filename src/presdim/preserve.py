@@ -231,8 +231,15 @@ def certificate_to_json(cert: PreservationCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> PreservationCertificate:
+    """Inverse of ``certificate_to_json``; a document that is no JSON object
+    or lacks a field or has an unknown one raises ``ValueError`` naming it."""
     d = json.loads(text)
-    for key in ("r", "max_neighbor", "min_nonneighbor", "alpha_max"):
-        if d[key] == "inf":
-            d[key] = math.inf
-    return PreservationCertificate(**d)
+    if not isinstance(d, dict):
+        raise ValueError(f"malformed certificate document: a JSON object expected, got {type(d).__name__}")
+    try:
+        for key in ("r", "max_neighbor", "min_nonneighbor", "alpha_max"):
+            if d[key] == "inf":
+                d[key] = math.inf
+        return PreservationCertificate(**d)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed certificate document ({type(exc).__name__}: {exc})") from exc

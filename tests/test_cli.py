@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from presdim import construct, experiment, metric, partition
+from presdim import experiment, metric, partition
 from presdim.cli import build_parser, main
 from presdim.config import Limits
 from presdim.construct import result_from_json
@@ -138,7 +138,6 @@ def test_verify_checks_the_entries_once(tmp_path, monkeypatch):
         calls.append(d.shape)
         return validate_entries(d)
 
-    monkeypatch.setattr(construct, "validate_entries", counted)
     monkeypatch.setattr(metric, "validate_entries", counted)
     assert main(["verify", str(g_path), str(emb_path), "--alpha", "1.5"]) == 0
     assert calls == [(4, 4)]
@@ -198,6 +197,12 @@ def test_verify_names_the_violated_axiom(tmp_path, capsys):
     assert "fails triangle at (0, 1, 3) (excess = 2)" in capsys.readouterr().err
 
 
+def _embedding_text(**target):
+    """An embedding document on three points; ``target`` gives its array."""
+    doc = {"vertex_map": [0, 1, 2], "alpha_interval": [0, 1], "r": 1, "dim_bound": 2, "source": "spm"}
+    return json.dumps({**doc, **target})
+
+
 @pytest.mark.parametrize(
     "flag, text",
     [
@@ -211,10 +216,18 @@ def test_verify_names_the_violated_axiom(tmp_path, capsys):
             "distance_matrix": [[0, 1, math.inf], [1, 0, 1], [math.inf, 1, 0]], "vertex_map": [0, 1, 2],
             "alpha_interval": [0, 1], "r": 1, "dim_bound": 2, "source": "spm",
         })),
+        ("--metric", "3\n0.5 1 1\n1 0 1\n1 1 0\n"),
+        ("--embedding", _embedding_text(distance_matrix=[[0, -1, 1], [-1, 0, 1], [1, 1, 0]])),
+        ("--embedding", _embedding_text(distance_matrix=[[0, 1, 2], [1, 0, 1], [3, 1, 0]])),
+        ("--embedding", _embedding_text(distance_matrix=[[0.5, 1, 1], [1, 0, 1], [1, 1, 0]])),
+        ("--embedding", _embedding_text(distance_matrix=[[0, math.nan, 1], [math.nan, 0, 1], [1, 1, 0]])),
+        ("--embedding", _embedding_text(points=[[0], [1], [math.nan]], norm=2)),
     ],
     ids=[
         "nan-distance", "inf-distance", "negative-distance", "asymmetric-distance",
-        "nan-point", "inf-point", "inf-embedding-distance",
+        "nan-point", "inf-point", "inf-embedding-distance", "nonzero-diagonal",
+        "negative-embedding-distance", "asymmetric-embedding-distance",
+        "nonzero-embedding-diagonal", "nan-embedding-distance", "nan-embedding-point",
     ],
 )
 def test_doubling_rejects_malformed_input(tmp_path, flag, text):
@@ -347,10 +360,13 @@ def test_experiment_out_of_range_parameters_exit_two(argv):
         (["--kind", "diameter2", "--n", "-2"], "needs n >= 1, got n=-2"),
         (["--kind", "diameter2", "--n", "8", "--jobs", "0"], "jobs must be at least 1, got 0"),
         (["--kind", "clique", "--n", "8", "--jobs", "-1"], "jobs must be at least 1, got -1"),
+        (["--kind", "planted", "--n", "0", "--k", "2"], "got n=0, k=2"),
+        (["--kind", "planted", "--n", "-4", "--k", "2"], "got n=-4, k=2"),
     ],
     ids=[
         "clique-n0", "clique-negative-n", "theorem2-n0", "theorem2-n1",
         "diameter2-n0", "diameter2-negative-n", "jobs0", "negative-jobs",
+        "planted-n0", "planted-negative-n",
     ],
 )
 def test_experiment_rejects_tiny_n_and_jobs_below_one(argv, message, capsys):
@@ -486,8 +502,9 @@ def test_a_negative_seed_exits_two_and_is_named(tmp_path, capsys):
         (["--family", "gnp", "--n", "-3", "--seed", "1"], "got n=-3"),
         (["--family", "kregular", "--n", "10", "--k", "-2", "--seed", "1"], "got n=10, k=-2"),
         (["--family", "kregular", "--n", "-4", "--k", "2", "--seed", "1"], "got n=-4, k=2"),
+        (["--family", "planted", "--n", "-4", "--k", "2", "--seed", "1"], "got n=-4, k=2"),
     ],
-    ids=["gnp-negative-n", "kregular-negative-k", "kregular-negative-n"],
+    ids=["gnp-negative-n", "kregular-negative-k", "kregular-negative-n", "planted-negative-n"],
 )
 def test_generate_names_a_negative_size(argv, message, tmp_path, capsys):
     assert main(["generate", *argv, "--out", str(tmp_path / "g.el")]) == 2

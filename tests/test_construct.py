@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -485,6 +486,11 @@ def test_result_to_json_matches_the_indent_writer_on_any_floats(rows, cols, metr
         target = PointSet(arr, norm=data.draw(st.sampled_from([1.0, 2.0, math.inf])))
     res = _result(target)
     assert result_to_json(res) == result_to_json_oracle(res)
+
+
+def test_result_to_json_refuses_a_nan_in_the_header():
+    with pytest.raises(ValueError, match="JSON compliant"):
+        result_to_json(replace(_result(PointSet(np.array([[2.0]]))), claimed_r=math.nan))
 
 
 # Both zeros, both infinities, NaN of either sign and integral values: the

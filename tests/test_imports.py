@@ -1,11 +1,13 @@
 """networkx may be installed next to the package, but it is no declared
 dependency (see ``pyproject.toml``), so no module of the package or of its
 tests may import it. Every module declares its public names in ``__all__``.
-No verb imports ``numpy.ma``."""
+No verb imports ``numpy.ma``. Every module parses under the Python 3.10
+grammar, the ``requires-python`` floor."""
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -32,6 +34,16 @@ def test_nothing_imports_networkx():
         if name.split(".")[0] == "networkx"
     ]
     assert offenders == []
+
+
+def test_every_module_parses_under_the_oldest_supported_grammar():
+    # Checks the grammar only: the suite itself runs on one interpreter.
+    floor = re.search(r'requires-python = ">=3\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    assert floor is not None
+    files = sorted((ROOT / "src" / "presdim").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert len(files) > 10
+    for path in files:
+        ast.parse(path.read_text(), str(path), feature_version=(3, int(floor.group(1))))
 
 
 def test_every_exported_name_resolves():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from presdim.construct import (
+    EmbeddingResult,
     clique_collapse_linf,
     frechet_embedding,
     pseudo_metric_embedding,
@@ -179,6 +181,17 @@ def test_certificate_json_round_trip():
     assert back.min_nonneighbor == math.inf and back.alpha_max == math.inf
 
 
+@pytest.mark.parametrize(
+    "text, names",
+    [('{"graph_digest": "x"}', "'r'"), ("[1]", "got list")],
+    ids=["missing-field", "not-an-object"],
+)
+def test_malformed_certificate_raises_value_error_naming_it(text, names):
+    with pytest.raises(ValueError, match="malformed certificate document") as info:
+        certificate_from_json(text)
+    assert names in str(info.value)
+
+
 def _p3_matrix(big: float, small: float) -> np.ndarray:
     """Raw distances on the 3-vertex path: neighbors at big, the ends at small."""
     return np.array([[0.0, big, small], [big, 0.0, big], [small, big, 0.0]])
@@ -218,3 +231,32 @@ def test_check_witness_is_exact(big, alpha, shift):
     else:
         assert cert.r is None
         assert not _is_witness(math.nextafter(big, math.inf), big, small, alpha)
+
+
+
+def _on_target(target: PointSet, vertex_map: list[int]) -> EmbeddingResult:
+    return EmbeddingResult(target, tuple(vertex_map), (0.0, 2.0), 1.0, 1, "test")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_certificate_is_invariant_under_relabelling(data):
+    """Relabelling a graph by a permutation and its embedding's vertex map
+    with it certifies the same distances: every certificate field but the
+    graph digest is unchanged."""
+    n = data.draw(st.integers(1, 8), label="n")
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if data.draw(st.booleans())]
+    coords = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    points = data.draw(st.lists(coords, min_size=1, max_size=n + 2), label="points")
+    norm = data.draw(st.sampled_from([1.0, 2.0, math.inf]), label="norm")
+    target = PointSet(np.array(points, dtype=float), norm=norm)
+    vertex_map = data.draw(st.lists(st.integers(0, len(points) - 1), min_size=n, max_size=n))
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    alpha = data.draw(st.floats(0.05, 1.95), label="alpha")
+    moved_map = [0] * n
+    for v, w in enumerate(perm):
+        moved_map[w] = vertex_map[v]
+    cert = check(from_edge_list(n, edges), _on_target(target, vertex_map), alpha)
+    moved_graph = from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])
+    moved = check(moved_graph, _on_target(target, moved_map), alpha)
+    assert replace(moved, graph_digest=cert.graph_digest) == cert
