@@ -37,7 +37,20 @@ from .graph import (
 from .metric import FiniteMetric, PointSet, checked, validate_metric
 from .partition import gated_clique_cover, neighborhood_partition
 from .preserve import check, mapped_distances
-from .util import dump_json, int_ceil, sorted_distinct
+from .util import (
+    dump_json,
+    int_ceil,
+    json_array,
+    json_bool,
+    json_float,
+    json_float_pair,
+    json_index_list,
+    json_int,
+    json_str,
+    load_json,
+    read_members,
+    sorted_distinct,
+)
 
 if TYPE_CHECKING:  # bounds imports this module
     from .bounds import GraphAnalysis
@@ -640,6 +653,26 @@ def center_and_normalize(p: PointSet, r: float) -> PointSet:
 # -- JSON serialization ---------------------------------------------------------------
 
 
+# The embedding document: its header, member -> (EmbeddingResult field,
+# reader), then the target's members by the one that holds its array, which
+# is written last. ``dim`` is not read back; it and ``pseudo`` may be left out.
+_HEADER = {
+    "source": ("source", json_str),
+    "alpha_interval": ("claimed_alpha", json_float_pair),
+    "r": ("claimed_r", json_float),
+    "dim_bound": ("claimed_dim_bound", json_int),
+    "vertex_map": ("vertex_map", json_index_list),
+}
+_TARGET = {
+    "points": {"dim": json_int, "norm": json_float, "points": json_array},
+    "distance_matrix": {"dim": json_int, "pseudo": json_bool, "distance_matrix": json_array},
+}
+_READERS = {
+    key: {member: read for member, (_, read) in _HEADER.items()} | target for key, target in _TARGET.items()
+}
+_OPTIONAL = {"dim": None, "pseudo": False}
+
+
 def result_to_json(res: EmbeddingResult) -> str:
     """The embedding as ``util.dump_json(doc)`` would write it.
 
@@ -647,13 +680,7 @@ def result_to_json(res: EmbeddingResult) -> str:
     header goes through ``dump_json`` (which refuses a NaN there); the
     target's array is written by ``_array_json``, which gives the same bytes.
     """
-    doc: dict = {
-        "source": res.source,
-        "alpha_interval": list(res.claimed_alpha),
-        "r": res.claimed_r,
-        "dim_bound": res.claimed_dim_bound,
-        "vertex_map": list(res.vertex_map),
-    }
+    doc = {member: getattr(res, field) for member, (field, _) in _HEADER.items()}
     if isinstance(res.target, PointSet):
         doc["dim"] = res.target.dim
         doc["norm"] = "inf" if res.target.norm == math.inf else int(res.target.norm)
@@ -695,27 +722,20 @@ def _array_json(a: np.ndarray) -> str:
 
 
 def result_from_json(text: str) -> EmbeddingResult:
-    """Inverse of ``result_to_json``; a missing or ill-typed field raises
-    ``ValueError``."""
-    doc = json.loads(text)
-    try:
-        if "points" in doc:
-            norm = math.inf if doc["norm"] == "inf" else float(doc["norm"])
-            target: FiniteMetric | PointSet = PointSet(np.array(doc["points"]), norm=norm)
-        else:
-            target = FiniteMetric(
-                np.array(doc["distance_matrix"]), pseudo=bool(doc.get("pseudo", False))
-            )
-        return EmbeddingResult(
-            target=checked(target, "malformed embedding document"),
-            vertex_map=tuple(doc["vertex_map"]),
-            claimed_alpha=tuple(doc["alpha_interval"]),
-            claimed_r=float(doc["r"]),
-            claimed_dim_bound=int(doc["dim_bound"]),
-            source=doc["source"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed embedding document ({type(exc).__name__}: {exc})") from exc
+    """Inverse of ``result_to_json``; a missing, unknown or ill-typed member
+    raises ``ValueError`` naming it."""
+    what = "embedding document"
+    doc = load_json(text, what)
+    key = "points" if isinstance(doc, dict) and "points" in doc else "distance_matrix"
+    members = read_members(doc, _READERS[key], what, _OPTIONAL)
+    if key == "points":
+        target: FiniteMetric | PointSet = PointSet(members["points"], norm=members["norm"])
+    else:
+        target = FiniteMetric(members["distance_matrix"], pseudo=members["pseudo"])
+    return EmbeddingResult(
+        target=checked(target, f"malformed {what}"),
+        **{field: members[member] for member, (field, _) in _HEADER.items()},
+    )
 
 
 # -- the construction table ---------------------------------------------------------

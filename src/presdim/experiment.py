@@ -28,7 +28,7 @@ from .bounds import (
 from .config import DEFAULT_LIMITS
 from .graph import derive_seed, diameter, gen_family, gen_gnp, gen_planted_partition, planted_sizes
 from .partition import SearchBudgetExceeded, clique_number, independence_number, neighborhood_class_count
-from .util import dump_json
+from .util import dump_json, read_members
 
 __all__ = [
     "MCResult",
@@ -263,7 +263,15 @@ def parse_config(path: str) -> dict[str, str]:
     return out
 
 
-SWEEP_KEYS = ("family", "n", "trials", "seed", "alpha_grid", "p", "q", "k")
+def _levels(grid: object) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in str(grid).split(",") if tok)
+
+
+# The sweep config: key -> converter, and the values of the keys left out.
+_SWEEP_CONFIG = {
+    "family": str, "n": int, "trials": int, "seed": int, "alpha_grid": _levels, "p": float, "q": float, "k": int
+}
+_SWEEP_DEFAULTS = {"trials": 1, "seed": 0, "alpha_grid": (1.0,), "p": 0.5, "q": 0.0, "k": 0}
 
 
 def sweep(config: dict, jobs: int = 1) -> list[TrialRecord]:
@@ -273,26 +281,15 @@ def sweep(config: dict, jobs: int = 1) -> list[TrialRecord]:
     p / q / k as the family requires. The sampled graph depends only on the
     trial index, so an alpha grid sweeps the same graph per trial.
     """
-    unknown = sorted(set(config) - set(SWEEP_KEYS))
-    if unknown:
-        raise ValueError(f"unknown sweep config key {unknown[0]!r}; the keys are {', '.join(SWEEP_KEYS)}")
-    try:
-        family = str(config["family"])
-        n = int(config["n"])
-        trials = int(config.get("trials", 1))
-        seed = int(config.get("seed", 0))
-        alphas = [float(tok) for tok in str(config.get("alpha_grid", "1.0")).split(",") if tok]
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"malformed sweep config: {exc}") from exc
+    cfg = read_members(config, _SWEEP_CONFIG, "sweep config", _SWEEP_DEFAULTS)
+    n, alphas = cfg["n"], cfg["alpha_grid"]
     if n < 1:
         raise ValueError(f"sweep needs n >= 1, got n={n}")
     for alpha in alphas:
         if not alpha > 0:  # NaN too
             raise ValueError(f"alpha must be positive, got alpha={alpha}")
-    p = float(config.get("p", 0.5))
-    q = float(config.get("q", 0.0))
-    k = int(config.get("k", 0))
-    nested = _run(partial(_sweep_trial, family, n, p, q, k, seed, tuple(alphas)), trials, jobs)
+    trial = partial(_sweep_trial, cfg["family"], n, cfg["p"], cfg["q"], cfg["k"], cfg["seed"], alphas)
+    nested = _run(trial, cfg["trials"], jobs)
     return [rec for group in nested for rec in group]
 
 

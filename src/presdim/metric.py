@@ -155,6 +155,9 @@ class MetricViolation:
     witness: tuple[int, ...]
     detail: str
 
+    def __str__(self) -> str:
+        return f"fails {self.axiom} at {self.witness} ({self.detail})"
+
 
 def validate_entries(d: np.ndarray) -> MetricViolation | None:
     """The O(n^2) checks of a square distance matrix (no NaN, symmetry, zero
@@ -565,7 +568,7 @@ def checked(target: _Target, where: str) -> _Target:
         raise ValueError(f"{where}: {'coordinates' if is_points else 'distances'} must be finite")
     bad = None if is_points else validate_entries(target.dist)
     if bad is not None:
-        raise ValueError(f"{where}: distances fail {bad.axiom} at {bad.witness} ({bad.detail})")
+        raise ValueError(f"{where}: distance matrix {bad}")
     return target
 
 

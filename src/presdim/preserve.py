@@ -10,17 +10,16 @@ m/M. Boundary levels fail: the supremum is not attained.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import Any
 
 import numpy as np
 
 from .graph import Graph, all_pairs_distances, complement_matrix, connected_components, neighborhood_classes
 from .metric import FiniteMetric, PointSet
-from .util import dump_json
+from .util import dump_json, json_bool, json_float, json_str, load_json, read_members
 
 __all__ = [
     "PreservationCertificate",
@@ -226,20 +225,23 @@ def measured_distortion(g: Graph, p: PointSet) -> float:
 # -- JSON serialization ---------------------------------------------------------
 
 
+# The certificate document holds PreservationCertificate's fields, as
+# ``asdict`` gives them, each read by the reader of its annotation.
+_BY_ANNOTATION = {
+    "str": json_str,
+    "float": json_float,
+    "float | None": lambda v: None if v is None else json_float(v),
+    "bool": json_bool,
+}
+_CERTIFICATE = {f.name: _BY_ANNOTATION[f.type] for f in fields(PreservationCertificate)}
+
+
 def certificate_to_json(cert: PreservationCertificate) -> str:
     return dump_json(asdict(cert))
 
 
 def certificate_from_json(text: str) -> PreservationCertificate:
-    """Inverse of ``certificate_to_json``; a document that is no JSON object
-    or lacks a field or has an unknown one raises ``ValueError`` naming it."""
-    d = json.loads(text)
-    if not isinstance(d, dict):
-        raise ValueError(f"malformed certificate document: a JSON object expected, got {type(d).__name__}")
-    try:
-        for key in ("r", "max_neighbor", "min_nonneighbor", "alpha_max"):
-            if d[key] == "inf":
-                d[key] = math.inf
-        return PreservationCertificate(**d)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed certificate document ({type(exc).__name__}: {exc})") from exc
+    """Inverse of ``certificate_to_json``; a document that is no JSON object,
+    or a missing, unknown or ill-typed field, raises ``ValueError`` naming it."""
+    what = "certificate document"
+    return PreservationCertificate(**read_members(load_json(text, what), _CERTIFICATE, what))

@@ -166,11 +166,17 @@ def _set_distances(value, *cells):
         (lambda doc: None, "nan"),
         (_set_distances(5.0, (0, 3), (3, 0)), "1.5"),
         (_set_distances(0.0, (0, 1), (1, 0)), "1.5"),
+        (lambda doc: doc.update(pseudo="false"), "1.5"),  # a string, not a bool
+        (lambda doc: doc.update(dim_bound=7.9), "1.5"),
+        (lambda doc: doc.update(source=5), "1.5"),
+        (lambda doc: doc.update(alpha_interval="ab"), "1.5"),
+        (lambda doc: doc.update(r="1.5"), "1.5"),
     ],
     ids=[
         "negative", "out-of-range", "fractional", "missing-r", "asymmetric-distance",
         "negative-distance", "nonzero-diagonal", "nan-distance", "inf-distance", "nan-point",
-        "nan-level", "triangle-violation", "off-diagonal-zero",
+        "nan-level", "triangle-violation", "off-diagonal-zero", "string-pseudo",
+        "fractional-dim-bound", "numeric-source", "string-interval", "string-r",
     ],
 )
 def test_verify_rejects_malformed_embedding(tmp_path, edit, alpha):
@@ -195,6 +201,16 @@ def test_verify_names_the_violated_axiom(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(g_path), str(emb_path), "--alpha", "1.5"]) == 2
     assert "fails triangle at (0, 1, 3) (excess = 2)" in capsys.readouterr().err
+
+
+def test_verify_rejects_deep_nesting(tmp_path, capsys):
+    g_path = tmp_path / "p4.el"
+    emb_path = tmp_path / "emb.json"
+    assert main(["generate", "--family", "path", "--n", "4", "--out", str(g_path)]) == 0
+    emb_path.write_text("[" * 200_000)
+    capsys.readouterr()
+    assert main(["verify", str(g_path), str(emb_path), "--alpha", "1.5"]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def _embedding_text(**target):
@@ -222,12 +238,14 @@ def _embedding_text(**target):
         ("--embedding", _embedding_text(distance_matrix=[[0.5, 1, 1], [1, 0, 1], [1, 1, 0]])),
         ("--embedding", _embedding_text(distance_matrix=[[0, math.nan, 1], [math.nan, 0, 1], [1, 1, 0]])),
         ("--embedding", _embedding_text(points=[[0], [1], [math.nan]], norm=2)),
+        ("--embedding", "[" * 200_000),
     ],
     ids=[
         "nan-distance", "inf-distance", "negative-distance", "asymmetric-distance",
         "nan-point", "inf-point", "inf-embedding-distance", "nonzero-diagonal",
         "negative-embedding-distance", "asymmetric-embedding-distance",
         "nonzero-embedding-diagonal", "nan-embedding-distance", "nan-embedding-point",
+        "deep-nesting",
     ],
 )
 def test_doubling_rejects_malformed_input(tmp_path, flag, text):

@@ -1,9 +1,10 @@
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from presdim.construct import (
@@ -36,7 +37,7 @@ from presdim.graph import (
 )
 from presdim.config import DEFAULT_LIMITS
 from presdim.metric import FiniteMetric, PointSet, validate_metric
-from presdim.preserve import alpha_max, check
+from presdim.preserve import alpha_max, certificate_from_json, certificate_to_json, check
 
 from oracles import random_graph, result_to_json_oracle, sphere_packing_l2_seed
 
@@ -433,6 +434,64 @@ def test_result_json_round_trip():
         assert back.vertex_map == emb.vertex_map
         assert back.claimed_alpha == emb.claimed_alpha
         assert np.array_equal(back.vertex_distances(), emb.vertex_distances())
+
+
+# One value of each JSON type, and the types each member of the embedding and
+# certificate documents takes: a float member takes an integer, and the
+# certificate's r takes null.
+JSON_VALUES = {"null": None, "boolean": True, "integer": 3, "number": 2.5, "string": "x", "array": [1], "object": {}}
+NUMBER = {"integer", "number"}
+EMBEDDING_TAKES = {
+    "source": {"string"}, "alpha_interval": {"array"}, "r": NUMBER, "dim_bound": {"integer"},
+    "vertex_map": {"array"}, "dim": {"integer"}, "norm": NUMBER, "pseudo": {"boolean"},
+    "points": {"array"}, "distance_matrix": {"array"},
+}
+CERTIFICATE_TAKES = {
+    "graph_digest": {"string"}, "space": {"string"}, "r": NUMBER | {"null"}, "max_neighbor": NUMBER,
+    "min_nonneighbor": NUMBER, "alpha_max": NUMBER, "requested_alpha": NUMBER, "passed": {"boolean"},
+}
+
+
+def _fields(res: EmbeddingResult) -> tuple:
+    t = res.target
+    array, flag = (t.points, t.norm) if isinstance(t, PointSet) else (t.dist, t.pseudo)
+    return (type(t), flag, array.tolist(), res.vertex_map, res.claimed_alpha, res.claimed_r,
+            res.claimed_dim_bound, res.source)
+
+
+def _one_member_retyped(text: str, takes: dict, data) -> tuple[str, str]:
+    doc = json.loads(text)
+    member = data.draw(st.sampled_from(sorted(doc)))
+    kind = data.draw(st.sampled_from(sorted(set(JSON_VALUES) - takes[member])))
+    return json.dumps({**doc, member: JSON_VALUES[kind]}), member
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    p=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    seed=st.integers(0, 2**16),
+    tag=st.sampled_from(sorted(BY_CLI)),
+    level=st.sampled_from([0.5, 0.7, 1.0, 1.5, 2.5]),
+    data=st.data(),
+)
+def test_documents_read_back_and_name_an_ill_typed_member(n, p, seed, tag, level, data):
+    g = gen_gnp(n, p, seed)
+    try:
+        res = BY_CLI[tag].build(g, level, 1, DEFAULT_LIMITS)
+    except ValueError:  # the level or the graph is outside the construction's range
+        assume(False)
+    text = result_to_json(res)
+    assert _fields(result_from_json(text)) == _fields(res)
+    cert = check(g, res, level)  # r is None where it fails; p = 0 or 1 gives an infinite extreme
+    cert_text = certificate_to_json(cert)
+    assert certificate_from_json(cert_text) == cert
+    for read, (bad, member) in (
+        (result_from_json, _one_member_retyped(text, EMBEDDING_TAKES, data)),
+        (certificate_from_json, _one_member_retyped(cert_text, CERTIFICATE_TAKES, data)),
+    ):
+        with pytest.raises(ValueError, match=f"'{member}'"):
+            read(bad)
 
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.0, -3.0, 1e300, -1e300, 0.1, 1 / 3, 1e16, 123456789.0]

@@ -143,6 +143,9 @@ def test_sweep_malformed_config():
     for key in ("alpha-grid", "famliy", "jobs"):
         with pytest.raises(ValueError, match=f"unknown sweep config key '{key}'"):
             sweep(dict(SWEEP_CFG, **{key: "1.5"}))
+    for key, value in (("p", "abc"), ("k", "x")):
+        with pytest.raises(ValueError, match=f"sweep config: key '{key}'"):
+            sweep(dict(SWEEP_CFG, **{key: value}))
 
 
 def test_parse_config(tmp_path):

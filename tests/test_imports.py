@@ -2,7 +2,8 @@
 dependency (see ``pyproject.toml``), so no module of the package or of its
 tests may import it. Every module declares its public names in ``__all__``.
 No verb imports ``numpy.ma``. Every module parses under the Python 3.10
-grammar, the ``requires-python`` floor."""
+grammar, the ``requires-python`` floor. Only ``util`` parses JSON, so every
+document read goes through its one loader and member reader."""
 
 import ast
 import importlib
@@ -44,6 +45,27 @@ def test_every_module_parses_under_the_oldest_supported_grammar():
     assert len(files) > 10
     for path in files:
         ast.parse(path.read_text(), str(path), feature_version=(3, int(floor.group(1))))
+
+
+def _json_parses(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            yield node.lineno
+        elif (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+              and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            yield node.lineno
+
+
+def test_only_util_parses_json():
+    files = sorted((ROOT / "src" / "presdim").rglob("*.py"))
+    assert len(files) > 5
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in files
+        if path.name != "util.py"
+        for line in _json_parses(path)
+    ]
+    assert offenders == []
 
 
 def test_every_exported_name_resolves():

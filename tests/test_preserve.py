@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -181,10 +182,20 @@ def test_certificate_json_round_trip():
     assert back.min_nonneighbor == math.inf and back.alpha_max == math.inf
 
 
+def _certificate_text(**members) -> str:
+    return json.dumps({**json.loads(certificate_to_json(check(P3, P3_LINE, 1.5))), **members})
+
+
 @pytest.mark.parametrize(
     "text, names",
-    [('{"graph_digest": "x"}', "'r'"), ("[1]", "got list")],
-    ids=["missing-field", "not-an-object"],
+    [
+        ('{"graph_digest": "x"}', "'r'"),
+        ("[1]", "got list"),
+        (_certificate_text(r="x"), "'r'"),
+        (_certificate_text(passed="no"), "'passed'"),
+        (_certificate_text(graph_digest=1), "'graph_digest'"),
+    ],
+    ids=["missing-field", "not-an-object", "string-r", "string-passed", "numeric-digest"],
 )
 def test_malformed_certificate_raises_value_error_naming_it(text, names):
     with pytest.raises(ValueError, match="malformed certificate document") as info:
