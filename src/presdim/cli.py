@@ -102,8 +102,7 @@ def _cmd_doubling(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if kind == "sweep":
+    if args.kind == "sweep":
         if not args.config:
             raise ValueError("sweep needs --config")
         cfg = experiment.parse_config(args.config)
@@ -114,21 +113,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         else:
             sys.stdout.write(experiment.rows_to_csv(records))
         return 0
-    seed, trials = args.seed, args.trials
-    if trials is None:
-        trials = 200 if kind in ("clique", "theorem2") else 500
-    if kind == "diameter2":
-        res = experiment.mc_diameter2(args.n, args.q, trials, seed, jobs=args.jobs)
-    elif kind == "clique":
-        res = experiment.mc_clique_number(args.n, trials, seed, jobs=args.jobs)
-    elif kind == "theorem2":
-        res = experiment.mc_theorem2(args.n, args.alpha, trials, seed, jobs=args.jobs)
-    elif kind == "planted":
-        res = experiment.mc_planted(
-            args.n, args.k, args.p, args.q, args.alpha, trials, seed, jobs=args.jobs
-        )
-    else:  # pragma: no cover
-        raise ValueError(f"unknown experiment {kind}")
+    run, params, default_trials = experiment.MONTE_CARLO[args.kind]
+    trials = default_trials if args.trials is None else args.trials
+    res = run(*(getattr(args, name) for name in params), trials, args.seed, jobs=args.jobs)
     doc = dump_json(res.to_dict())
     _write_out(args.out, doc)
     print(doc)
@@ -185,14 +172,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_doubling)
 
     p = sub.add_parser("experiment", help="seeded Monte Carlo experiments")
-    p.add_argument("--kind", required=True, choices=("diameter2", "clique", "theorem2", "planted", "sweep"))
+    p.add_argument("--kind", required=True, choices=(*experiment.MONTE_CARLO, "sweep"))
     p.add_argument("--n", type=int, default=40)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--q", type=float, default=0.5)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--trials", type=int, default=None,
-                   help="default 500, or 200 for the exact-clique experiments")
+                   help="default: the kind's own trial count")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--config", default=None)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -141,6 +141,13 @@ def simplex_jl_coords(blocks: int, alpha: float) -> int:
 def spectral_coords(lam: float, points: int) -> int:
     """Projection coordinates of the spectral routes: ceil(192 lam^2 ln points)."""
     return int_ceil(192.0 * lam * lam * math.log(points))
+
+
+def spectral_width(lam: float, classes: int) -> int:
+    """Coordinates of the l2-spectral route on ``classes`` neighborhood
+    classes: ``spectral_coords``, capped at the classes - 1 dimensions that
+    as many centered points span."""
+    return min(spectral_coords(lam, classes), classes - 1)
 
 
 class JLProjectionError(RuntimeError):
@@ -653,6 +660,13 @@ def center_and_normalize(p: PointSet, r: float) -> PointSet:
 # -- JSON serialization ---------------------------------------------------------------
 
 
+def _json_norm(v: Any) -> float:
+    """A ``PointSet`` norm as ``result_to_json`` writes it."""
+    if type(v) in (int, float) and v in (1, 2) or v == "inf":
+        return float(v)
+    raise ValueError(f'1, 2 or "inf" expected, got {v!r:.40}')
+
+
 # The embedding document: its header, member -> (EmbeddingResult field,
 # reader), then the target's members by the one that holds its array, which
 # is written last. ``dim`` is not read back; it and ``pseudo`` may be left out.
@@ -664,7 +678,7 @@ _HEADER = {
     "vertex_map": ("vertex_map", json_index_list),
 }
 _TARGET = {
-    "points": {"dim": json_int, "norm": json_float, "points": json_array},
+    "points": {"dim": json_int, "norm": _json_norm, "points": json_array},
     "distance_matrix": {"dim": json_int, "pseudo": json_bool, "distance_matrix": json_array},
 }
 _READERS = {
@@ -804,8 +818,7 @@ def _spectral_ceiling(analysis: GraphAnalysis, alpha: float) -> Ceiling:
     ceiling = (1.0 - 1.0 / (4.0 * lam)) ** -0.5
     if alpha >= ceiling:
         return None, f"alpha >= (1 - 1/(4 lambda))^-1/2 = {ceiling:.6f}"
-    # Capped at c - 1 coordinates, while _spectral_jl projects to up to c.
-    return float(l2_dim(min(spectral_coords(lam, quotient.n), quotient.n - 1))), ""
+    return float(l2_dim(spectral_width(lam, quotient.n))), ""
 
 
 def _regular_ceiling(analysis: GraphAnalysis, alpha: float) -> Ceiling:
@@ -831,7 +844,11 @@ def _project(
 def _spectral_jl(g: Graph, alpha: float, seed: int | None, limits: Limits) -> EmbeddingResult:
     base, lam = _schoenberg(g)
     c = base.n_points
-    return _project(base, g, alpha, seed, min(spectral_coords(lam, c), c))
+    # _schoenberg orders its coordinates by decreasing eigenvalue, and the
+    # centered Gram matrix has the all-ones vector in its kernel, so any c-th
+    # coordinate is rounding noise.
+    first = PointSet(base.target.points[:, : c - 1], norm=2.0)
+    return _project(replace(base, target=first), g, alpha, seed, spectral_width(lam, c))
 
 
 def _regular_jl(g: Graph, alpha: float, seed: int | None, limits: Limits) -> EmbeddingResult:

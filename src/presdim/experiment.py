@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable, Sequence
@@ -37,6 +36,7 @@ __all__ = [
     "mc_clique_number",
     "mc_theorem2",
     "mc_planted",
+    "MONTE_CARLO",
     "sweep",
     "parse_config",
     "rows_to_csv",
@@ -77,6 +77,7 @@ def _run(trial: Callable[[int], object], trials: int, jobs: int) -> list:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs == 1:
         return [trial(t) for t in range(trials)]
+    from concurrent.futures import ProcessPoolExecutor  # a single process loads no pool
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(trial, range(trials), chunksize=max(1, trials // (jobs * 4))))
 
@@ -223,6 +224,16 @@ def mc_planted(
     )
 
 
+# The Monte Carlo kinds: kind -> (runner, the parameters it takes before trials
+# and seed, by their CLI names, default number of trials).
+MONTE_CARLO: dict[str, tuple[Callable[..., MCResult], tuple[str, ...], int]] = {
+    "diameter2": (mc_diameter2, ("n", "q"), 500),
+    "clique": (mc_clique_number, ("n",), 200),
+    "theorem2": (mc_theorem2, ("n", "alpha"), 200),
+    "planted": (mc_planted, ("n", "k", "p", "q", "alpha"), 500),
+}
+
+
 # -- sweep harness ---------------------------------------------------------------
 
 SWEEP_COLUMNS = [
@@ -313,28 +324,10 @@ def _sweep_trial(
         if 0 < alpha < 2:
             lower_cp, lower_nb = analysis.lower_bounds(alpha)
             upper_min = min(ub.value for ub in analysis.upper_bounds(alpha)[0])
-        row = {
-            "family": family,
-            "n": n,
-            "p": p,
-            "q": q,
-            "k": k,
-            "alpha": alpha,
-            "trial": t,
-            "trial_seed": trial_seed,
-            "diameter": analysis.diameter,
-            "max_degree": g.max_degree(),
-            "clique_number": kappa,
-            "independence_number": iota,
-            "clique_mode": clique_mode,
-            "cover_size": analysis.cover.size,
-            "cover_mode": analysis.cover.mode,
-            "n_classes": analysis.quotient.n,
-            "lower_clique_partition": lower_cp,
-            "lower_neighborhood": lower_nb,
-            "upper_min": upper_min,
-        }
-        records.append(TrialRecord(row=row))
+        values = (family, n, p, q, k, alpha, t, trial_seed, analysis.diameter, g.max_degree(), kappa, iota,
+                  clique_mode, analysis.cover.size, analysis.cover.mode, analysis.quotient.n,
+                  lower_cp, lower_nb, upper_min)
+        records.append(TrialRecord(row=dict(zip(SWEEP_COLUMNS, values, strict=True))))
     return records
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -121,10 +122,11 @@ def json_index_list(v: Any) -> tuple[int, ...]:
 
 
 def json_array(v: Any) -> np.ndarray:
-    """A 2-d array of JSON numbers, typed once by its dtype kind; whether
-    its values are finite is ``metric.checked``'s to say."""
-    a = np.array(v)
-    if a.ndim != 2 or a.dtype.kind not in "iuf":
+    """A 2-d array of JSON numbers, typed in one pass over the item types
+    (numpy would read a boolean among numbers as 0 or 1); whether its values
+    are finite is ``metric.checked``'s to say."""
+    a = np.array(v, dtype=np.float64)
+    if a.ndim != 2 or not set(map(type, chain.from_iterable(v))) <= {int, float}:
         raise ValueError("a 2-d array of numbers expected")
     return a
 

@@ -219,6 +219,10 @@ def _embedding_text(**target):
     return json.dumps({**doc, **target})
 
 
+# numpy reads a JSON boolean among numbers as 0 or 1: here the metric of a path.
+BOOLEAN_MATRIX = [[0, True, 2], [True, 0, 1], [2, 1, 0]]
+
+
 @pytest.mark.parametrize(
     "flag, text",
     [
@@ -239,19 +243,36 @@ def _embedding_text(**target):
         ("--embedding", _embedding_text(distance_matrix=[[0, math.nan, 1], [math.nan, 0, 1], [1, 1, 0]])),
         ("--embedding", _embedding_text(points=[[0], [1], [math.nan]], norm=2)),
         ("--embedding", "[" * 200_000),
+        ("--embedding", _embedding_text(points=[[0], [1], [2]], norm=3)),
+        ("--embedding", _embedding_text(distance_matrix=BOOLEAN_MATRIX)),
     ],
     ids=[
         "nan-distance", "inf-distance", "negative-distance", "asymmetric-distance",
         "nan-point", "inf-point", "inf-embedding-distance", "nonzero-diagonal",
         "negative-embedding-distance", "asymmetric-embedding-distance",
         "nonzero-embedding-diagonal", "nan-embedding-distance", "nan-embedding-point",
-        "deep-nesting",
+        "deep-nesting", "norm-3", "boolean-distance",
     ],
 )
 def test_doubling_rejects_malformed_input(tmp_path, flag, text):
     path = tmp_path / "input.txt"
     path.write_text(text)
     assert main(["doubling", flag, str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "member, target",
+    [
+        ("norm", {"points": [[0], [1], [2]], "norm": 3}),
+        ("norm", {"points": [[0], [1], [2]], "norm": True}),
+        ("points", {"points": [[0], [False], [2]], "norm": 2}),
+        ("distance_matrix", {"distance_matrix": BOOLEAN_MATRIX}),
+    ],
+    ids=["norm-3", "norm-true", "boolean-point", "boolean-distance"],
+)
+def test_embedding_reader_names_a_bad_norm_or_a_boolean_entry(member, target):
+    with pytest.raises(ValueError, match=f"^malformed embedding document: key '{member}': "):
+        result_from_json(_embedding_text(**target))
 
 
 MALFORMED_EDGE_LISTS = {

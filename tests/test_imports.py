@@ -1,9 +1,10 @@
 """networkx may be installed next to the package, but it is no declared
 dependency (see ``pyproject.toml``), so no module of the package or of its
 tests may import it. Every module declares its public names in ``__all__``.
-No verb imports ``numpy.ma``. Every module parses under the Python 3.10
-grammar, the ``requires-python`` floor. Only ``util`` parses JSON, so every
-document read goes through its one loader and member reader."""
+No verb imports ``numpy.ma``, and no single-process run a process pool.
+Every module parses under the Python 3.10 grammar, the ``requires-python``
+floor. Only ``util`` parses JSON, so every document read goes through its
+one loader and member reader."""
 
 import ast
 import importlib
@@ -78,8 +79,10 @@ def test_every_exported_name_resolves():
         assert missing == [], name
 
 
-# Runs every verb that reads or writes embeddings in one process. numpy.ma
-# costs about 1.1 MB resident, and np.unique or np.isin on floats import it.
+# Runs every verb that reads or writes embeddings, and single-process
+# experiments, in one process. numpy.ma costs about 1.1 MB resident, and
+# np.unique or np.isin on floats import it; a process pool is needed only for
+# --jobs > 1.
 _VERBS_SCRIPT = textwrap.dedent("""
     import os, sys
     from presdim.cli import main
@@ -94,7 +97,11 @@ _VERBS_SCRIPT = textwrap.dedent("""
         level = {"collapse": "0.7", "simplex-jl": "0.7", "schoenberg": "0.9", "prop6": "1.4"}.get(tag, "1.5")
         assert main(["verify", "g.el", out, "--alpha", level]) in (0, 1)
     assert main(["doubling", "--embedding", "prop6.json"]) == 0
-    print("numpy.ma" in sys.modules)
+    assert main(["experiment", "--kind", "diameter2", "--n", "12", "--trials", "3", "--seed", "1", "--jobs", "1"]) == 0
+    with open("sweep.cfg", "w") as fh:
+        fh.write("family=gnp\\nn=10\\ntrials=2\\nalpha_grid=0.8,1.5\\n")
+    assert main(["experiment", "--kind", "sweep", "--config", "sweep.cfg", "--out", "sweep.csv"]) == 0
+    print(sorted({"numpy.ma", "concurrent.futures", "multiprocessing"} & sys.modules.keys()))
 """)
 
 
@@ -105,4 +112,4 @@ def test_no_verb_imports_numpy_ma(tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "False"
+    assert run.stdout.splitlines()[-1] == "[]"

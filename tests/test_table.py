@@ -5,13 +5,17 @@ import functools
 import itertools
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presdim.bounds import upper_bounds
 from presdim.cli import build_parser
 from presdim.config import DEFAULT_LIMITS
 from presdim.construct import BY_CLI, BY_TAG, CONSTRUCTIONS, JLProjectionError
 from presdim.graph import NAMED_FAMILIES, GenerationError, from_edge_list, gen_gnp, gen_named
+from presdim.metric import FiniteMetric, PointSet, doubling_dimension, induced_metric
 from presdim.preserve import check
 
 # Tags whose ceiling and builder share one dimension function.
@@ -22,6 +26,7 @@ SHARED_ARITHMETIC = {
     "linf_quotient",
     "l2_ball_collapse",
     "l2_simplex_jl",
+    "l2_spectral",
 }
 LEVELS = (0.5, 0.65, 0.8, 1.0, 1.5)
 
@@ -46,21 +51,7 @@ def _ceilings():
     ]
 
 
-@pytest.mark.parametrize(
-    "tag",
-    [
-        pytest.param(
-            tag,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="the ceiling caps the coordinates at c-1, the build at c",
-            ),
-        )
-        if tag == "l2_spectral"
-        else tag
-        for tag in BY_TAG
-    ],
-)
+@pytest.mark.parametrize("tag", list(BY_TAG))
 def test_ceiling_matches_its_builder(tag):
     built = 0
     for case_tag, g, alpha, value in _ceilings():
@@ -79,6 +70,36 @@ def test_ceiling_matches_its_builder(tag):
         if tag in SHARED_ARITHMETIC and not loose:
             assert emb.claimed_dim_bound == value, (g.rows, alpha)
     assert built
+
+
+def _image(emb) -> FiniteMetric:
+    """The points that the vertices land on, as a metric of their own."""
+    image = sorted(set(emb.vertex_map))
+    t = emb.target
+    if isinstance(t, PointSet):
+        return induced_metric(PointSet(t.points[image], norm=t.norm))
+    return FiniteMetric(t.dist[np.ix_(image, image)], pseudo=t.pseudo)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 10), p=st.sampled_from([0.2, 0.5, 0.8]), seed=st.integers(0, 2**16),
+       alpha=st.sampled_from(LEVELS))
+def test_every_certified_image_keeps_the_subset_lemma(n, p, seed, alpha):
+    """The subset lemma: a subset Y of a metric space X has at most twice its
+    doubling dimension. If every open ball of X is covered by 2^d open balls
+    of half its radius, cover the ball B_Y(y, r) by 2^(2d) balls of X of
+    radius r/4; each one that meets Y at some y' lies in B_Y(y', r/2). The
+    image of a certified build is a subset of its target space, whose
+    doubling dimension the row's ceiling bounds."""
+    g = gen_gnp(n, p, seed)
+    for ub in upper_bounds(g, alpha)[0]:
+        try:
+            emb = BY_TAG[ub.tag].build(g, alpha, 0, DEFAULT_LIMITS)
+        except (ValueError, JLProjectionError, GenerationError):
+            continue
+        image = _image(emb)  # at most 10 points, inside the exact search's limit of 14
+        if check(g, emb, alpha).passed and not image.pseudo:
+            assert doubling_dimension(image, mode="exact") <= 2 * ub.value, (g.rows, alpha, ub.tag)
 
 
 def test_greedy_report_validates_the_greedy_embedding():
