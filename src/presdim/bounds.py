@@ -214,8 +214,7 @@ class GraphAnalysis:
     @cached_property
     def lam(self) -> float:
         """Top adjacency eigenvalue of the quotient, read only by the spectral
-        rule: BLAS worker threads spin for a while after ``eigvalsh``, which
-        would cost CPU time on every report whose levels never read it."""
+        rule (see ``graph.spectrum_top2`` for why it is not read eagerly)."""
         return spectrum_top2(self.quotient)[0]
 
     @cached_property

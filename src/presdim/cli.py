@@ -113,9 +113,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         else:
             sys.stdout.write(experiment.rows_to_csv(records))
         return 0
-    run, params, default_trials = experiment.MONTE_CARLO[args.kind]
+    runner, params, default_trials = experiment.MONTE_CARLO[args.kind]
     trials = default_trials if args.trials is None else args.trials
-    res = run(*(getattr(args, name) for name in params), trials, args.seed, jobs=args.jobs)
+    res = getattr(experiment, runner)(*(getattr(args, name) for name in params), trials, args.seed, jobs=args.jobs)
     doc = dump_json(res.to_dict())
     _write_out(args.out, doc)
     print(doc)

@@ -33,6 +33,7 @@ from .graph import (
     quotient_with_map,
     require_seed,
     rng_for,
+    spectrum_top2,
 )
 from .metric import FiniteMetric, PointSet, checked, validate_metric
 from .partition import gated_clique_cover, neighborhood_partition
@@ -143,11 +144,11 @@ def spectral_coords(lam: float, points: int) -> int:
     return int_ceil(192.0 * lam * lam * math.log(points))
 
 
-def spectral_width(lam: float, classes: int) -> int:
-    """Coordinates of the l2-spectral route on ``classes`` neighborhood
-    classes: ``spectral_coords``, capped at the classes - 1 dimensions that
-    as many centered points span."""
-    return min(spectral_coords(lam, classes), classes - 1)
+def spectral_width(count: int, classes: int) -> int:
+    """Coordinates of the l2-spectral routes on ``classes`` neighborhood
+    classes: their coordinate ``count``, capped at the classes - 1 dimensions
+    that as many centered points span."""
+    return min(count, classes - 1)
 
 
 class JLProjectionError(RuntimeError):
@@ -521,12 +522,12 @@ def _schoenberg(g: Graph) -> tuple[EmbeddingResult, float]:
         return _one_point(vmap, 2.0, "schoenberg"), 0.0
     if h.edge_count == 0:
         raise ValueError("spectral embedding needs at least one quotient edge")
-    a = h.adjacency_matrix()
     # lam > 1: no two adjacent vertices of the quotient share a closed
     # neighborhood, so a component with an edge u-v has a vertex w adjacent
     # to exactly one of them. It thus holds an induced path on three
     # vertices, and lam >= sqrt(2) by interlacing.
-    lam = float(np.linalg.eigvalsh(a)[-1])
+    lam = spectrum_top2(h)[0]
+    a = h.adjacency_matrix()
     comp = np.ones((h.n, h.n)) - np.eye(h.n) - a
     d2 = comp + (1.0 - 1.0 / lam) * a
     j = np.eye(h.n) - np.ones((h.n, h.n)) / h.n
@@ -818,7 +819,7 @@ def _spectral_ceiling(analysis: GraphAnalysis, alpha: float) -> Ceiling:
     ceiling = (1.0 - 1.0 / (4.0 * lam)) ** -0.5
     if alpha >= ceiling:
         return None, f"alpha >= (1 - 1/(4 lambda))^-1/2 = {ceiling:.6f}"
-    return float(l2_dim(spectral_width(lam, quotient.n))), ""
+    return float(l2_dim(spectral_width(spectral_coords(lam, quotient.n), quotient.n))), ""
 
 
 def _regular_ceiling(analysis: GraphAnalysis, alpha: float) -> Ceiling:
@@ -835,25 +836,17 @@ def _regular_ceiling(analysis: GraphAnalysis, alpha: float) -> Ceiling:
     return float(spectral_coords(k, analysis.g.n)), ""
 
 
-def _project(
-    base: EmbeddingResult, g: Graph, alpha: float, seed: int | None, d: int
-) -> EmbeddingResult:
-    return jl_project(base.target, max(d, 1), g, alpha, seed, vertex_map=base.vertex_map)
-
-
-def _spectral_jl(g: Graph, alpha: float, seed: int | None, limits: Limits) -> EmbeddingResult:
+def _spectral_jl(g: Graph, alpha: float, seed: int | None, count: Callable[[float, int], int]) -> EmbeddingResult:
+    """Both l2-spectral rows: g's c neighborhood classes by their first c - 1 Schoenberg
+    coordinates, projected to ``spectral_width(count(lam, c), c)`` of them, at least one."""
     base, lam = _schoenberg(g)
     c = base.n_points
     # _schoenberg orders its coordinates by decreasing eigenvalue, and the
     # centered Gram matrix has the all-ones vector in its kernel, so any c-th
     # coordinate is rounding noise.
     first = PointSet(base.target.points[:, : c - 1], norm=2.0)
-    return _project(replace(base, target=first), g, alpha, seed, spectral_width(lam, c))
-
-
-def _regular_jl(g: Graph, alpha: float, seed: int | None, limits: Limits) -> EmbeddingResult:
-    base = schoenberg_embedding(g)
-    return _project(base, g, alpha, seed, min(spectral_coords(g.degree(0), g.n), g.n))
+    width = max(spectral_width(count(lam, c), c), 1)
+    return jl_project(first, width, g, alpha, seed, vertex_map=base.vertex_map)
 
 
 CONSTRUCTIONS: tuple[Construction, ...] = (
@@ -877,8 +870,11 @@ CONSTRUCTIONS: tuple[Construction, ...] = (
                  lambda g, a, seed, lim: simplex_embedding(
                      g, a, require_seed(seed), limit=lim.exact_cover),
                  _simplex_ceiling),
-    Construction("l2_spectral", None, _spectral_jl, _spectral_ceiling),
-    Construction("l2_regular", None, _regular_jl, _regular_ceiling),
+    Construction("l2_spectral", None, lambda g, a, seed, lim: _spectral_jl(g, a, seed, spectral_coords),
+                 _spectral_ceiling),
+    Construction("l2_regular", None,
+                 lambda g, a, seed, lim: _spectral_jl(g, a, seed, lambda lam, c: spectral_coords(g.degree(0), g.n)),
+                 _regular_ceiling),
 )
 BY_TAG = {c.tag: c for c in CONSTRUCTIONS if c.tag}
 BY_CLI = {c.cli: c for c in CONSTRUCTIONS if c.cli}

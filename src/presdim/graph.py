@@ -631,7 +631,8 @@ def quotient_by_neighborhood(g: Graph) -> Graph:
 
 
 def spectrum_top2(g: Graph) -> tuple[float, float]:
-    """Two largest adjacency eigenvalues (second repeats the first when n=1)."""
+    """Two largest adjacency eigenvalues (second repeats the first when n=1), by the package's one
+    ``eigvalsh``: BLAS worker threads spin for a while after it, so call it only where it is read."""
     if g.n < 1:
         raise ValueError("spectrum of the empty vertex set is undefined")
     if g.n == 1:

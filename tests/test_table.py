@@ -3,6 +3,7 @@ row builds, and the CLI names it exposes."""
 
 import functools
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,10 +14,13 @@ from hypothesis import strategies as st
 from presdim.bounds import upper_bounds
 from presdim.cli import build_parser
 from presdim.config import DEFAULT_LIMITS
-from presdim.construct import BY_CLI, BY_TAG, CONSTRUCTIONS, JLProjectionError
-from presdim.graph import NAMED_FAMILIES, GenerationError, from_edge_list, gen_gnp, gen_named
+from presdim.construct import BY_CLI, BY_TAG, CONSTRUCTIONS, JLProjectionError, l2_dim, schoenberg_embedding
+from presdim.graph import NAMED_FAMILIES, GenerationError, from_edge_list, gen_gnp, gen_kregular, gen_named
 from presdim.metric import FiniteMetric, PointSet, doubling_dimension, induced_metric
+from presdim.partition import neighborhood_class_count
 from presdim.preserve import check
+
+from test_construct import _passes_claims
 
 # Tags whose ceiling and builder share one dimension function.
 SHARED_ARITHMETIC = {
@@ -70,6 +74,57 @@ def test_ceiling_matches_its_builder(tag):
         if tag in SHARED_ARITHMETIC and not loose:
             assert emb.claimed_dim_bound == value, (g.rows, alpha)
     assert built
+
+
+@pytest.mark.parametrize("g", [gen_kregular(10, 3, 0), gen_kregular(20, 3, 1), gen_named("cycle", 8),
+                               gen_named("complete", 5)], ids=["3-regular-10", "3-regular-20", "C8", "K5"])
+@pytest.mark.parametrize("alpha", [0.8, 1.0])
+def test_regular_build_keeps_the_first_schoenberg_coordinates(g, alpha):
+    """The l2_regular build projects the first c - 1 Schoenberg coordinates of
+    the c neighborhood classes, as l2_spectral does: a c-th is rounding noise."""
+    c = neighborhood_class_count(g)
+    emb = BY_TAG["l2_regular"].build(g, alpha, 0, DEFAULT_LIMITS)
+    width = max(min(math.ceil(192 * g.degree(0) ** 2 * math.log(g.n)), c - 1), 1)
+    first = schoenberg_embedding(g).target.points[:, : c - 1]
+    assert emb.target.dim == width
+    assert np.array_equal(emb.target.points[:, : c - 1], first)
+    assert not emb.target.points[:, c - 1 :].any()
+    assert emb.claimed_dim_bound == l2_dim(width)
+    ceiling = {ub.tag: ub.value for ub in upper_bounds(g, alpha)[0]}["l2_regular"]
+    assert emb.claimed_dim_bound <= ceiling
+
+
+def _scaled(emb, factor):
+    """``emb`` with every target distance multiplied by ``factor``."""
+    t = emb.target
+    if isinstance(t, PointSet):
+        return replace(emb, target=PointSet(t.points * factor, norm=t.norm))
+    return replace(emb, target=FiniteMetric(t.dist * factor, pseudo=t.pseudo))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8), p=st.sampled_from([0.2, 0.5, 0.8]), seed=st.integers(0, 2**16))
+def test_every_row_certifies_by_scale_free_rules(n, p, seed):
+    """Each row's build, at each level where it builds: a certificate reads
+    the same on the target scaled by a power of two (with no non-adjacent
+    pair the witness is M + 1, which does not scale), and the build passes
+    ``check`` inside its claimed level interval."""
+    g = gen_gnp(n, p, seed)
+    for row, alpha in itertools.product(CONSTRUCTIONS, LEVELS):
+        try:
+            emb = row.build(g, alpha, 0, DEFAULT_LIMITS)
+        except (ValueError, JLProjectionError, GenerationError):
+            continue
+        cert = check(g, emb, alpha)
+        for k in (-3, 5):
+            scaled = check(g, _scaled(emb, 2.0**k), alpha)
+            case = (g.rows, alpha, row.tag or row.cli, k)
+            assert (scaled.passed, scaled.alpha_max) == (cert.passed, cert.alpha_max), case
+            assert scaled.max_neighbor == cert.max_neighbor * 2.0**k, case
+            assert scaled.min_nonneighbor == cert.min_nonneighbor * 2.0**k, case
+            if cert.passed and math.isfinite(cert.min_nonneighbor):
+                assert scaled.r == cert.r * 2.0**k, case
+        assert _passes_claims(g, emb), (g.rows, alpha, row.tag or row.cli)
 
 
 def _image(emb) -> FiniteMetric:
