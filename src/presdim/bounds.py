@@ -128,9 +128,10 @@ def _partition_floor(sub: Graph, rows: Sequence[int], cand: int, limits: Limits)
     back to. An exact independence number is the floor itself, as the
     coloring term is at most alpha(U); DSATUR runs only after the greedy
     fallback, and only where |U| over the greedy clique size, a bound on its
-    term (DSATUR uses at least omega colors), beats the fallback."""
+    term (DSATUR uses at least omega colors), beats the fallback. The exact
+    cover takes ``limits.exact_cover`` as its limit, and not the clique budget."""
     if sub.n <= limits.exact_cover:
-        return float(clique_cover(sub, mode="exact").size), True
+        return float(clique_cover(sub, mode="exact", limit=limits.exact_cover).size), True
     try:
         return float(independence_number(sub, mode="exact", budget=limits.clique_budget)), True
     except SearchBudgetExceeded:

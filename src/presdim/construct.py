@@ -579,8 +579,6 @@ def jl_project(
     if d_target < 1:
         raise ValueError("target dimension must be >= 1")
     vmap = tuple(range(p.n)) if vertex_map is None else tuple(vertex_map)
-    if len(vmap) != g.n:
-        raise ValueError("vertex_map must be total over the vertex set")
 
     def as_result(points: np.ndarray, src: str) -> EmbeddingResult:
         return EmbeddingResult(

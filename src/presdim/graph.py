@@ -472,18 +472,18 @@ def bfs_distances(g: Graph, src: int) -> list[float]:
 
 
 def _product_blocks(x: np.ndarray, y: np.ndarray, bound: int) -> Iterator[tuple[slice, slice, np.ndarray]]:
-    """Yield ``(rows, cols, x[rows] @ y[:, cols])`` over square blocks of the
-    product x @ y, for a symmetric y. The product runs in float32 when every
-    partial sum stays below ``bound`` < 2^24 (exact there), else in float64.
-    y is converted one column panel at a time (a quarter of its columns, as
-    many bytes as the boolean matrix), x one row block per panel."""
-    n = len(x)
+    """Yield ``(rows, cols, x[rows] @ y[cols].T)`` over the blocks of x @ y^T,
+    for an x with any number of rows; columns and block sizes come from
+    ``len(y)``. The product runs in float32 when every partial sum stays below
+    ``bound`` < 2^24 (exact there), else in float64. y is converted a panel of
+    rows at a time (a quarter of them), x one row block per panel."""
+    n = len(y) if len(x) else 0  # no panel for an x without rows
     dtype = np.float32 if bound < _FLOAT32_EXACT else np.float64
     step = max(1, math.isqrt(_GEMM_BLOCK // max(n, 1)))
     width = step * max(1, -(-n // (_PANELS * step)))
     for p in range(0, n, width):
-        panel = y[p : p + width].astype(dtype)  # y[:, p:p+width], as y is symmetric
-        for r in range(0, n, step):
+        panel = y[p : p + width].astype(dtype)
+        for r in range(0, len(x), step):
             left = x[r : r + step].astype(dtype)
             for c in range(0, len(panel), step):
                 yield slice(r, r + step), slice(p + c, p + c + step), left @ panel[c : c + step].T
@@ -491,10 +491,10 @@ def _product_blocks(x: np.ndarray, y: np.ndarray, bound: int) -> Iterator[tuple[
 
 
 def _reach_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Boolean product: (x @ y)[u, w] is set iff some v has x[u, v] and y[v, w].
-    Reachability matrices are symmetric, so y is."""
-    out = np.empty(x.shape, dtype=bool)
-    for rows, cols, block in _product_blocks(x, y, len(x)):
+    """Boolean product x @ y^T: entry [u, w] is set iff some v has x[u, v] and
+    y[w, v]; x @ y for a symmetric y, such as a reachability matrix."""
+    out = np.empty((len(x), len(y)), dtype=bool)
+    for rows, cols, block in _product_blocks(x, y, x.shape[1]):
         np.greater(block, 0, out=out[rows, cols])
     return out
 
@@ -527,7 +527,7 @@ def _seidel(a: np.ndarray, out: np.ndarray) -> None:
     _seidel(b, t)
     del b
     deg = np.count_nonzero(a, axis=0)
-    for rows, cols, x in _product_blocks(t, a, n * n):
+    for rows, cols, x in _product_blocks(t, a, n * n):  # t @ a, as a is symmetric
         half = t[rows, cols]
         out[rows, cols] = 2 * half - (x < half * deg[cols])
 

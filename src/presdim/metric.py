@@ -14,7 +14,7 @@ from typing import Sequence, TypeVar
 
 import numpy as np
 
-from .graph import _block_rows, _pack_rows as _row_masks, bits
+from .graph import _block_rows, _pack_rows as _row_masks, _reach_product, bits
 from .partition import _max_clique_mask
 from .util import sorted_distinct
 
@@ -233,19 +233,11 @@ def _validate_identity_and_triangle(m: FiniteMetric) -> MetricViolation | None:
 
 
 # Most pairs of distance classes ``_triangles_clear`` examines. A pair costs
-# at most n^2 * ceil(n / 64) word ORs against the sweep's n^3 subtractions:
-# on n = 300 (2 vCPUs) a pair whose first class holds half the entries took
-# 3.6 ms and the sweep 52-60 ms, so 8 pairs stay under about half the sweep.
-# The prop6 metric at alpha = 1.2, with 66 pairs, is left to the sweep.
+# one Boolean product of at most n x n by n x n against the sweep's n^3
+# subtractions: on n = 300 (2 vCPUs) a pair whose first class holds half the
+# entries took 1.4 ms and the sweep 41-47 ms, so 8 pairs stay under about a
+# third of the sweep. prop6 at alpha = 1.2 (66 pairs, 42-43 ms) is left to it.
 _CLASS_PAIRS = 8
-
-
-def _word_rows(a: np.ndarray) -> np.ndarray:
-    """The rows of a 2-d boolean array as bits of uint64 words."""
-    packed = np.packbits(a, axis=1, bitorder="little")
-    words = np.zeros((len(a), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, : packed.shape[1]] = packed
-    return words.view(np.uint64)
 
 
 def _triangles_clear(d: np.ndarray) -> bool:
@@ -256,16 +248,18 @@ def _triangles_clear(d: np.ndarray) -> bool:
     With v the sorted distinct values, ``bad[x, y, z]`` is the sweep's own
     expression on the same float64 operands, so it decides every triple
     whose entries fall in classes (x, y, z) as the sweep does (values that
-    differ only in the sign of a zero compare alike). A pair (y, z) needs
-    work only if some x is bad, and it holds a violation iff some i reaches,
-    through a j with d_ij in class y, a k with d_jk in class z and d_ik in a
-    bad class: the OR of the z-rows of i's y-row, ANDed with i's bad row
-    (Boolean-product triangle detection; Itai & Rodeh, SIAM J. Comput.
-    1978). When the zero class is exactly the diagonal, pairs through it
-    are clear: j = i or j = k gives an excess of exactly 0. Pseudo zeros,
-    or entries of exactly -METRIC_TOL, keep them: there (i, j, i) can give
-    2 * METRIC_TOL. The check runs while the table is small (m^3 <= n^2)
-    and at most ``_CLASS_PAIRS`` pairs need work.
+    differ only in the sign of a zero compare alike); it is non-decreasing
+    in v[x] (each rounding is monotone), so a pair (y, z)'s bad classes run
+    from its first bad one up. A pair needs work only if some x is bad, and
+    it holds a violation iff some i reaches, through a j with d_ij in class
+    y, a k with d_jk in class z and d_ik in a bad class: the Boolean product
+    of i's y-row with the z-rows, ANDed with i's bad row (Boolean-product
+    triangle detection; Itai & Rodeh, SIAM J. Comput. 1978). When the zero
+    class is exactly the diagonal, pairs through it are clear: j = i or
+    j = k gives an excess of exactly 0. Pseudo zeros, or entries of exactly
+    -METRIC_TOL, keep them: there (i, j, i) can give 2 * METRIC_TOL. The
+    check runs while the table is small (m^3 <= n^2) and at most
+    ``_CLASS_PAIRS`` pairs need work.
     """
     n = len(d)
     if n == 0:
@@ -283,19 +277,11 @@ def _triangles_clear(d: np.ndarray) -> bool:
     if len(pairs) > _CLASS_PAIRS:
         return False
     for y, z in pairs:
-        hit = np.zeros((n, n), dtype=bool)
-        for x in np.flatnonzero(bad[:, y, z]).tolist():
-            hit |= d == v[x]
+        hit = d >= v[np.argmax(bad[:, y, z])]
         first = d == v[y]
-        live_rows = np.flatnonzero(first.any(axis=1) & hit.any(axis=1))
-        second = _word_rows(d == v[z])
-        reach = np.bitwise_or.reduce(
-            np.broadcast_to(second, (live_rows.size, *second.shape)),
-            axis=1,
-            where=first[live_rows, :, None],
-            initial=0,
-        )
-        if (reach & _word_rows(hit[live_rows])).any():
+        rows = np.flatnonzero(first.any(axis=1) & hit.any(axis=1))
+        first, hit = first[rows], hit[rows]  # frees the n x n masks before the product
+        if (_reach_product(first, d.T == v[z]) & hit).any():
             return False
     return True
 
@@ -580,6 +566,20 @@ def _data_lines(path: str) -> list[str]:
     return lines
 
 
+def _header(path: str, line: str, shape: str, *kinds: type) -> list:
+    """The tokens of a file's header line, read as ``kinds`` (int: a count
+    >= 0; float: a norm of 1, 2 or inf); else ``ValueError`` naming the file
+    and the line."""
+    try:
+        values = [kind(tok) for kind, tok in zip(kinds, line.split(), strict=True)]
+        ok = all(v >= 0 if type(v) is int else v in (1.0, 2.0, math.inf) for v in values)
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{path}: header {line!r} must be {shape}")
+    return values
+
+
 def _table(path: str, lines: list[str], n: int, d: int) -> np.ndarray:
     """The (n, d) array of reals held by exactly n lines of d tokens each."""
     rows = [[float(tok) for tok in ln.split()] for ln in lines]
@@ -597,7 +597,7 @@ def write_metric(m: FiniteMetric, path: str) -> None:
 
 def read_metric(path: str, pseudo: bool = False) -> FiniteMetric:
     lines = _data_lines(path)
-    n = int(lines[0])
+    (n,) = _header(path, lines[0], "'n', one nonnegative integer", int)
     return checked(FiniteMetric(_table(path, lines[1:], n, n), pseudo=pseudo), path)
 
 
@@ -611,7 +611,6 @@ def write_points(p: PointSet, path: str) -> None:
 
 def read_points(path: str) -> PointSet:
     lines = _data_lines(path)
-    n_tok, d_tok, p_tok = lines[0].split()
-    n, dim = int(n_tok), int(d_tok)
-    norm = math.inf if p_tok == "inf" else float(p_tok)
+    shape = "'n d p', two nonnegative integers and a norm p of 1, 2 or inf"
+    n, dim, norm = _header(path, lines[0], shape, int, int, float)
     return checked(PointSet(_table(path, lines[1:], n, dim), norm=norm), path)

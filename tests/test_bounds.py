@@ -204,6 +204,29 @@ def test_report_lower_below_verified_upper():
                 assert lo <= ub.value
 
 
+def test_a_build_that_raises_is_reported_unverified(monkeypatch):
+    def boom(g, alpha, seed, limits):
+        raise RuntimeError("no room")
+
+    row = construct.BY_TAG["shortest_path"]
+    monkeypatch.setitem(bounds.BY_TAG, "shortest_path", replace(row, build=boom))
+    rep = report(gen_gnp(14, 0.5, 0), 1.0, validate=True)
+    (ub,) = [ub for ub in rep.upper_bounds if ub.tag == "shortest_path"]
+    assert (ub.verified, ub.note) == (False, "RuntimeError: no room")
+    assert all(ub.verified for ub in rep.upper_bounds if ub.tag != "shortest_path")
+
+
+@pytest.mark.parametrize("n, seed", [(24, 2), (30, 1), (36, 4)])
+def test_the_profile_covers_exactly_up_to_the_limits_exact_cover(n, seed):
+    """An exact-cover limit above clique_cover's own default of 20 reaches
+    the profile's exact cover, which keeps the default max-clique budget."""
+    g, wide = gen_gnp(n, 0.5, seed), Limits(exact_cover=25)
+    profile = subset_profile_reference(g, None, wide)
+    assert bounds.subset_profile(g, None, wide) == profile
+    assert lower_clique_partition(g, 1.5, limits=wide) == profile_lower(profile, 1.5)[0]
+    report(g, 1.5, limits=wide, validate=False)
+
+
 def test_report_envelopes_on_level_grid():
     # raw lower envelope is nondecreasing; the upper envelope is monotone
     # after closing it under "a bound for a larger level applies below it"

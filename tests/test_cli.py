@@ -2,15 +2,16 @@ import json
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from presdim import experiment, metric, partition
+from presdim import bounds, cli, construct, experiment, metric, partition
 from presdim.cli import build_parser, main
-from presdim.config import Limits
+from presdim.config import DEFAULT_LIMITS, Limits
 from presdim.construct import result_from_json
-from presdim.graph import gen_named, read_edge_list
+from presdim.graph import GenerationError, gen_gnp, gen_named, read_edge_list, write_edge_list
 from presdim.metric import validate_entries
 from presdim.preserve import certificate_from_json
 
@@ -119,6 +120,54 @@ def test_experiment_verbs(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 5  # header + 2 trials x 2 levels
     assert main(["experiment", "--kind", "sweep"]) == 2  # missing --config
+
+
+def test_greedy_analyze_writes_the_report_without_exact_covers(tmp_path, capsys):
+    g, g_path, out = gen_gnp(16, 0.5, 3), tmp_path / "g.el", tmp_path / "rep.json"
+    write_edge_list(g, str(g_path))
+    assert main(["analyze", str(g_path), "--alpha", "1.5", "--mode", "greedy", "--out", str(out)]) == 0
+    greedy = bounds.report(g, 1.5, limits=replace(DEFAULT_LIMITS, exact_cover=0))
+    assert out.read_text() == bounds.report_to_json(greedy) + "\n"
+
+
+def test_sweep_without_out_prints_the_csv_it_would_write(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.txt", tmp_path / "sweep.csv"
+    cfg.write_text("family=gnp\nn=8\ntrials=2\nseed=3\nalpha_grid=0.5,1.5\np=0.5\n")
+    assert main(["experiment", "--kind", "sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["experiment", "--kind", "sweep", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == out.read_bytes().decode()
+
+
+def _exhausted(*args, **kwargs):
+    raise GenerationError("no attempt succeeded")
+
+
+def _projection_exhausted(*args, **kwargs):
+    raise construct.JLProjectionError("projection failed 5 attempts", best_alpha_max=0.5)
+
+
+@pytest.mark.parametrize(
+    "module, name, raiser, argv, message",
+    [
+        (cli, "gen_family", _exhausted,
+         ["generate", "--family", "kregular", "--n", "8", "--k", "3", "--seed", "1", "--out", "g.el"],
+         "failed: no attempt succeeded"),
+        (construct, "jl_project", _projection_exhausted,
+         ["embed", "g.el", "--construction", "simplex-jl", "--alpha", "0.8", "--seed", "1"],
+         "failed: projection failed 5 attempts"),
+    ],
+    ids=["generation", "projection"],
+)
+def test_an_exhausted_probabilistic_construction_exits_one(
+    tmp_path, monkeypatch, capsys, module, name, raiser, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    write_edge_list(gen_named("cycle", 8), "g.el")
+    monkeypatch.setattr(module, name, raiser)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
 
 
 def test_diameter2_on_one_vertex(capsys):
@@ -497,6 +546,28 @@ def test_doubling_rejects_points_off_their_header(tmp_path, text):
     path = tmp_path / "points.txt"
     path.write_text(text)
     assert main(["doubling", "--points", str(path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag, header, shape",
+    [
+        ("--points", "3 2 3", "'n d p', two nonnegative integers and a norm p of 1, 2 or inf"),
+        ("--points", "3 2 abc", "'n d p', two nonnegative integers and a norm p of 1, 2 or inf"),
+        ("--points", "3 2", "'n d p', two nonnegative integers and a norm p of 1, 2 or inf"),
+        ("--metric", "x", "'n', one nonnegative integer"),
+        ("--metric", "2 2", "'n', one nonnegative integer"),
+    ],
+    ids=["points-norm-3", "points-norm-abc", "points-two-tokens", "metric-x", "metric-two-tokens"],
+)
+def test_a_rejected_text_header_names_the_file_and_the_line(tmp_path, capsys, flag, header, shape):
+    path = tmp_path / "input.txt"
+    path.write_text(f"{header}\n0 1\n1 0\n")
+    message = f"{path}: header '{header}' must be {shape}"
+    read = metric.read_points if flag == "--points" else metric.read_metric
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read(str(path))
+    assert main(["doubling", flag, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_a_second_call_keeps_nothing_of_the_first(tmp_path, capsys):

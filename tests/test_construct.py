@@ -387,6 +387,12 @@ def test_jl_validates_input_level():
         jl_project(pts, 2, p3, 2.5, seed=0)
 
 
+def test_jl_rejects_a_vertex_map_short_of_the_vertices():
+    pts = PointSet(np.array([[0.0], [1.0], [2.0], [3.0]]), norm=2.0)
+    with pytest.raises(ValueError, match="^vertex_map must be total over the vertex set$"):
+        jl_project(pts, 2, gen_named("path", 4), 0.5, seed=0, vertex_map=[0, 1, 2])
+
+
 def test_simplex_embedding():
     rng = np.random.default_rng(49)
     for _ in range(8):

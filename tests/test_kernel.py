@@ -5,12 +5,14 @@
 import itertools
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from presdim import graph
 from presdim.graph import (
     GenerationError,
     Graph,
@@ -106,6 +108,32 @@ def test_ball_matrices_hold_the_hop_balls(g, data):
     dist = distances_oracle(g) if g.n else np.zeros((0, 0))
     for r, ball in enumerate(ball_matrices(g, radius), start=1):
         assert np.array_equal(ball, dist <= r)
+
+
+@st.composite
+def product_operands(draw):
+    """A boolean x with 0 to n rows and a square, non-symmetric boolean y
+    on n <= 40, and a block budget, down to one that splits the product into
+    1 x 1 blocks."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.random((draw(st.integers(0, n)), n)) < draw(st.sampled_from((0.05, 0.3, 0.7)))
+    y = rng.random((n, n)) < draw(st.sampled_from((0.05, 0.3, 0.7)))
+    return x, y, draw(st.sampled_from((1, 50, 2**12, graph._GEMM_BLOCK)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(product_operands())
+@example((np.zeros((0, 5), dtype=bool), np.eye(5, k=1, dtype=bool), 50))
+@example((np.ones((3, 7), dtype=bool), np.eye(7, k=1, dtype=bool), 1))
+def test_reach_product_is_x_times_y_transposed(operands):
+    """Rows of x need not number len(y), y need not be symmetric, and x
+    may have no rows at all."""
+    x, y, block = operands
+    with mock.patch.object(graph, "_GEMM_BLOCK", block):
+        got = graph._reach_product(x, y)
+    assert got.shape == (len(x), len(y))
+    assert np.array_equal(got, x.astype(int) @ y.T.astype(int) > 0)
 
 
 @settings(max_examples=150, deadline=None)

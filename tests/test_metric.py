@@ -577,6 +577,31 @@ def test_validate_metric_by_distance_classes_matches_the_oracle(m):
     assert validate_metric(m) == validate_metric_oracle(m)
 
 
+@st.composite
+def one_asymmetric_pair(draw):
+    """Unit distances on 8..20 points with one triple (i, j, k) whose
+    d_ik = 2 + e tolerances, and one cell of the triple moved by less than
+    the tolerance, so the triple's excess depends on which of that cell's
+    two orientations it reads. Four distances at most (m^3 <= n^2) and at
+    most four class pairs, so the class check decides every one."""
+    n = draw(st.integers(8, 20))
+    i, j, k = draw(st.permutations(range(n)))[:3]
+    d = 1.0 - np.eye(n)
+    d[i, k] = d[k, i] = 2.0 + draw(st.sampled_from((0.0, 0.5, 1.0, 1.5))) * METRIC_TOL
+    cell = draw(st.sampled_from(((i, j), (j, i), (j, k), (k, j))))
+    d[cell] += draw(st.sampled_from((-0.8, -0.5, 0.5, 0.8))) * METRIC_TOL
+    return FiniteMetric(d, pseudo=draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(one_asymmetric_pair())
+@example(_asymmetric_excess())
+def test_the_class_check_reads_each_orientation_of_an_asymmetric_pair(m):
+    violation = validate_metric(m)
+    assert violation == validate_metric_oracle(m)
+    assert metric._triangles_clear(m.dist) is (violation is None)
+
+
 def test_distance_class_examples_take_the_class_check():
     """The two examples above are decided by distance classes: the check
     finds their violating triple and hands the witness to the sweep."""
