@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Limits", "DEFAULT_LIMITS"]
+__all__ = ["Limits", "DEFAULT_LIMITS", "check_mode"]
 
 
 @dataclass(frozen=True)
@@ -18,3 +18,12 @@ class Limits:
 
 
 DEFAULT_LIMITS = Limits()
+
+
+def check_mode(mode: str, what: str = "", measure: str = "n", size: int = 0, limit: float = float("inf")) -> None:
+    """The rule of every search's ``mode``: refuse one other than "exact" or
+    "greedy", and an exact ``what`` whose ``measure`` (here ``size``) is above ``limit``."""
+    if mode not in ("exact", "greedy"):
+        raise ValueError("mode must be 'exact' or 'greedy'")
+    if mode == "exact" and size > limit:
+        raise ValueError(f"exact {what} limited to {measure} <= {limit}, got {size}")

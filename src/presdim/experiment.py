@@ -261,15 +261,15 @@ SWEEP_COLUMNS = [
 
 
 def parse_config(path: str) -> dict[str, str]:
-    """Flat key=value configuration file; '#' starts a comment."""
+    """Flat key=value configuration file; '#' starts a comment anywhere in a line."""
     out: dict[str, str] = {}
     with open(path) as fh:
-        for ln in fh:
+        for number, ln in enumerate(fh, 1):
             ln = ln.split("#", 1)[0].strip()
             if not ln:
                 continue
             if "=" not in ln:
-                raise ValueError(f"malformed config line: {ln!r}")
+                raise ValueError(f"{path}: line {number}: malformed config line: {ln!r}")
             key, val = ln.split("=", 1)
             out[key.strip()] = val.strip()
     return out

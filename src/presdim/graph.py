@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import re
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .util import read_header, read_rows, write_rows
 
 __all__ = [
     "Graph",
@@ -652,65 +652,30 @@ def graph_stats(g: Graph) -> GraphStats:
 
 
 # -- edge-list text format --------------------------------------------------
-# First line "n m", then one "u v" pair per line (0-indexed): exactly two
-# integer tokens. Lines starting with '#' are comments; a '#' elsewhere in a
-# line is an error. Planted-partition labels serialize as an optional
-# trailing "blocks: i_0 i_1 ... i_{n-1}" line. Leading and trailing
-# whitespace of a line is ignored, and so are blank lines.
-
-# The comment and blank lines before the header, then the header line.
-_HEADER = re.compile(r"(?:\s*#[^\n]*)*\s*([^\n]*)")
-# A comment or "blocks:" line after the header, with the newline before it
-# (and any blank lines); group 1 is the labels text of a "blocks:" line.
-_NOT_EDGES = re.compile(r"\n\s*(?:#[^\n]*|blocks:([^\n]*))")
+# A table file (``util.read_header``): first line "n m", then one "u v" pair
+# per line (0-indexed), exactly two integer tokens. Planted-partition labels
+# serialize as an optional trailing "blocks: i_0 i_1 ... i_{n-1}" line.
 
 
 def write_edge_list(g: Graph, path: str) -> None:
-    lines = [f"{g.n} {g.edge_count}"]
-    lines += [f"{u} {v}" for u, v in g.edges()]
-    if g.blocks is not None:
-        lines.append("blocks: " + " ".join(str(b) for b in g.blocks))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    blocks = () if g.blocks is None else ("blocks: " + " ".join(map(str, g.blocks)),)
+    write_rows(path, f"{g.n} {g.edge_count}", g.edges(), *blocks)
 
 
 def read_edge_list(path: str) -> Graph:
-    """Read the edge-list text format above; ``ValueError`` names what is wrong.
-
-    The comment and ``blocks:`` lines are cut out of the text by one regex
-    split, and every remaining line goes to one ``np.loadtxt`` call.
-    """
-    with open(path) as fh:
-        text = fh.read()
-    head = _HEADER.match(text)
-    if not head.group(1):
-        raise ValueError("empty edge-list file")
+    """Read the edge-list text format above; ``ValueError`` names the file."""
+    (n, m), text = read_header(path, "'n <edge count>', two nonnegative integers", int, int)
+    edges, labels = read_rows(path, text, np.int64, 2, tag="blocks:")
     try:
-        n, m = map(int, head.group(1).split())
-    except ValueError:
-        n = m = -1
-    if n < 0 or m < 0:
-        raise ValueError(f"header {head.group(1).strip()!r} must be 'n <edge count>', two nonnegative integers")
-    parts = _NOT_EDGES.split(text[head.end() :])
-    try:
-        labels = [tuple(map(int, line.split())) for line in parts[1::2] if line is not None]
+        labels = [tuple(map(int, line.split())) for line in labels]
     except ValueError as exc:
-        raise ValueError(f"'blocks:' line must hold one integer label per vertex ({exc})") from None
-    body = "".join(parts[0::2])
-    # comments=None: a '#' inside an edge line must fail to parse, not end it.
-    # numpy releases still in their deprecation period parse a token such as
-    # "1.5" or "2.0" via a float, truncate it and only issue a
-    # DeprecationWarning; the filter turns that into their ValueError.
-    # Without edge lines the parser is skipped; it warns on empty input.
+        raise ValueError(f"{path}: 'blocks:' line must hold one integer label per vertex ({exc})") from None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            edges = np.loadtxt(body.split("\n"), dtype=np.int64, ndmin=2, comments=None) if body.strip() else ()
+        g = from_edge_list(n, edges)
+        if g.edge_count != m:
+            raise ValueError(f"header declares {m} edges, file carries {g.edge_count}")
+        if labels:
+            g = Graph.of(g.matrix, blocks=labels[-1])
     except ValueError as exc:
-        raise ValueError(f"edge lines must hold exactly two integers ({exc})") from None
-    g = from_edge_list(n, edges)
-    if g.edge_count != m:
-        raise ValueError(f"header declares {m} edges, file carries {g.edge_count}")
-    if labels:
-        g = Graph.of(g.matrix, blocks=labels[-1])
+        raise ValueError(f"{path}: {exc}") from None
     return g

@@ -14,9 +14,10 @@ from typing import Sequence, TypeVar
 
 import numpy as np
 
+from .config import check_mode
 from .graph import _block_rows, _pack_rows as _row_masks, _reach_product, bits
 from .partition import _max_clique_mask
-from .util import sorted_distinct
+from .util import read_header, read_rows, sorted_distinct, write_rows
 
 __all__ = [
     "FiniteMetric",
@@ -371,17 +372,12 @@ def covering_number(
     if eps <= 0:
         raise ValueError("radius must be positive")
     sub = list(range(m.n)) if subset is None else list(subset)
+    check_mode(mode, "covering", "|subset|", len(sub), limit)
     if not sub:
         return 0
-    if mode == "exact" and len(sub) > limit:
-        raise ValueError(f"exact covering limited to |subset| <= {limit}, got {len(sub)}")
     universe = (1 << len(sub)) - 1
     masks = _row_masks(m.dist[:, np.asarray(sub, dtype=int)] < eps)
-    if mode == "exact":
-        return _min_cover(universe, masks)
-    if mode != "greedy":
-        raise ValueError("mode must be 'exact' or 'greedy'")
-    return _greedy_cover(universe, masks)
+    return (_min_cover if mode == "exact" else _greedy_cover)(universe, masks)
 
 
 def packing_number(
@@ -400,18 +396,14 @@ def packing_number(
     if eps <= 0:
         raise ValueError("packing distance must be positive")
     sub = list(range(m.n)) if subset is None else list(subset)
-    k = len(sub)
-    if k == 0:
+    check_mode(mode, "packing", "|subset|", len(sub), limit)
+    if not sub:
         return 0
     d = m.dist
     if mode == "exact":
-        if k > limit:
-            raise ValueError(f"exact packing limited to |subset| <= {limit}, got {k}")
         idx = np.asarray(sub, dtype=int)
         far = np.triu(d[np.ix_(idx, idx)] >= eps, 1)
         return _max_clique_mask(far | far.T).bit_count()
-    if mode != "greedy":
-        raise ValueError("mode must be 'exact' or 'greedy'")
     chosen = [sub[0]]
     rest = sub[1:]
     while rest:
@@ -481,10 +473,7 @@ def doubling_dimension(
     """
     if m.n == 0:
         raise ValueError("doubling dimension of an empty space is undefined")
-    if mode == "exact" and m.n > limit:
-        raise ValueError(f"exact doubling limited to n <= {limit}, got {m.n}")
-    if mode not in ("exact", "greedy"):
-        raise ValueError("mode must be 'exact' or 'greedy'")
+    check_mode(mode, "doubling", "n", m.n, limit)
     n, d = m.n, m.dist
     upper = d[np.triu_indices(n, k=1)]
     positive = sorted_distinct(upper[upper > 0])
@@ -538,9 +527,8 @@ def doubling_dimension(
 
 
 # -- text formats ---------------------------------------------------------------
-# FiniteMetric: first line "n", then n rows of n space-separated reals.
-# PointSet: first line "n d p", then n coordinate rows. Lines starting with
-# '#' are comments.
+# Table files (``util.read_header``): a FiniteMetric's header is "n", a
+# PointSet's "n d p"; n rows of n distances or d coordinates follow.
 
 _Target = TypeVar("_Target", FiniteMetric, PointSet)
 
@@ -558,59 +546,27 @@ def checked(target: _Target, where: str) -> _Target:
     return target
 
 
-def _data_lines(path: str) -> list[str]:
-    with open(path) as fh:
-        lines = [ln for ln in (s.strip() for s in fh) if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError(f"{path}: empty file")
-    return lines
-
-
-def _header(path: str, line: str, shape: str, *kinds: type) -> list:
-    """The tokens of a file's header line, read as ``kinds`` (int: a count
-    >= 0; float: a norm of 1, 2 or inf); else ``ValueError`` naming the file
-    and the line."""
-    try:
-        values = [kind(tok) for kind, tok in zip(kinds, line.split(), strict=True)]
-        ok = all(v >= 0 if type(v) is int else v in (1.0, 2.0, math.inf) for v in values)
-    except ValueError:
-        ok = False
-    if not ok:
-        raise ValueError(f"{path}: header {line!r} must be {shape}")
-    return values
-
-
-def _table(path: str, lines: list[str], n: int, d: int) -> np.ndarray:
-    """The (n, d) array of reals held by exactly n lines of d tokens each."""
-    rows = [[float(tok) for tok in ln.split()] for ln in lines]
-    if len(rows) != n or any(len(row) != d for row in rows):
-        raise ValueError(f"{path}: header declares {n} rows of {d} values, the rows do not match")
-    return np.array(rows, dtype=np.float64).reshape(n, d)
+def _norm(tok: str) -> float:
+    if float(tok) not in (1.0, 2.0, math.inf):
+        raise ValueError("a norm of 1, 2 or inf expected")
+    return float(tok)
 
 
 def write_metric(m: FiniteMetric, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"{m.n}\n")
-        for row in m.dist:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+    write_rows(path, f"{m.n}", m.dist.tolist())
 
 
 def read_metric(path: str, pseudo: bool = False) -> FiniteMetric:
-    lines = _data_lines(path)
-    (n,) = _header(path, lines[0], "'n', one nonnegative integer", int)
-    return checked(FiniteMetric(_table(path, lines[1:], n, n), pseudo=pseudo), path)
+    (n,), text = read_header(path, "'n', one nonnegative integer", int)
+    return checked(FiniteMetric(read_rows(path, text, np.float64, n, n)[0], pseudo=pseudo), path)
 
 
 def write_points(p: PointSet, path: str) -> None:
     norm = "inf" if p.norm == math.inf else str(int(p.norm))
-    with open(path, "w") as fh:
-        fh.write(f"{p.n} {p.dim} {norm}\n")
-        for row in p.points:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
+    write_rows(path, f"{p.n} {p.dim} {norm}", p.points.tolist())
 
 
 def read_points(path: str) -> PointSet:
-    lines = _data_lines(path)
     shape = "'n d p', two nonnegative integers and a norm p of 1, 2 or inf"
-    n, dim, norm = _header(path, lines[0], shape, int, int, float)
-    return checked(PointSet(_table(path, lines[1:], n, dim), norm=norm), path)
+    (n, dim, norm), text = read_header(path, shape, int, int, _norm)
+    return checked(PointSet(read_rows(path, text, np.float64, dim, n)[0], norm=norm), path)

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS
+from .config import DEFAULT_LIMITS, check_mode
 from .graph import Graph, _pack_rows, bits, complement_matrix, group_index, neighborhood_classes
 
 __all__ = [
@@ -226,10 +226,9 @@ def max_clique(g: Graph, budget: int | None = None) -> list[int]:
 
 def _clique_size(a: np.ndarray, mode: str, budget: int | None) -> int:
     """Largest clique size on boolean adjacency ``a``, exact or a greedy lower bound."""
+    check_mode(mode)
     if mode == "greedy":
         return _greedy_clique_mask(_pack_rows(a), (1 << len(a)) - 1).bit_count()
-    if mode != "exact":
-        raise ValueError("mode must be 'exact' or 'greedy'")
     return _max_clique_mask(a, budget).bit_count()
 
 
@@ -329,15 +328,12 @@ def clique_cover(
     """
     limit = DEFAULT_LIMITS.exact_cover if limit is None else limit
     budget = DEFAULT_LIMITS.clique_budget if budget is None else budget
+    check_mode(mode, "clique cover", "n", g.n, limit)
     if mode == "exact":
-        if g.n > limit:
-            raise ValueError(f"exact clique cover limited to n <= {limit}, got {g.n}")
         colors = _exact_coloring(_pack_rows(complement_matrix(g)), g.n, budget)
         groups = [[v for v, c in enumerate(colors) if c == k] for k in range(max(colors, default=-1) + 1)]
-    elif mode == "greedy":
-        groups = [list(bits(block)) for block in _greedy_cliques(g.rows, (1 << g.n) - 1)]
     else:
-        raise ValueError("mode must be 'exact' or 'greedy'")
+        groups = [list(bits(block)) for block in _greedy_cliques(g.rows, (1 << g.n) - 1)]
     return VertexPartition(_normalize_blocks(groups), mode=mode)
 
 

@@ -1,19 +1,22 @@
-"""Small numeric helpers shared across modules, and the JSON document
-boundary: ``dump_json`` writes every document, ``load_json`` parses every
-document and ``read_members`` reads every keyed one."""
+"""Small numeric helpers shared across modules, and the two boundaries of
+outside data: ``dump_json``, ``load_json`` and ``read_members`` write, parse
+and read every JSON document; ``write_rows``, ``read_header`` and
+``read_rows`` write and read every text table."""
 
 from __future__ import annotations
 
 import json
 import math
+import re
+import warnings
 from itertools import chain
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
-    "dump_json", "load_json", "read_members", "json_float", "json_int", "json_bool", "json_str",
-    "json_float_pair", "json_index_list", "json_array", "int_ceil", "sorted_distinct",
+    "dump_json", "load_json", "read_members", "json_float", "json_int", "json_bool", "json_str", "json_float_pair",
+    "json_index_list", "json_array", "read_header", "read_rows", "write_rows", "int_ceil", "sorted_distinct",
 ]
 
 _TOL = 1e-9
@@ -129,6 +132,74 @@ def json_array(v: Any) -> np.ndarray:
     if a.ndim != 2 or not set(map(type, chain.from_iterable(v))) <= {int, float}:
         raise ValueError("a 2-d array of numbers expected")
     return a
+
+
+# -- the text table boundary ------------------------------------------------------
+# A table file is a header line, then rows of whitespace-separated numbers. A
+# line whose first non-blank character is '#' is a comment; a '#' anywhere
+# else is an error. Blank lines, and the whitespace around a line, are
+# ignored. Every error raised reads "<path>: ...".
+
+# The comment and blank lines before the header, then the header line.
+_HEADER = re.compile(r"(?:\s*#[^\n]*)*\s*([^\n]*)")
+
+
+def read_header(path: str, shape: str, *kinds: Callable[[str], Any]) -> tuple[list, str]:
+    """The header tokens of the table file at ``path``, each read by its kind
+    in ``kinds``, and the text after the header line; ``ValueError`` names the
+    file and the line, which must be ``shape``, when a kind refuses a token or
+    a value is negative (a header holds counts and norms)."""
+    with open(path) as fh:
+        text = fh.read()
+    head = _HEADER.match(text)
+    line = head.group(1).strip()
+    if not line:
+        raise ValueError(f"{path}: empty file")
+    try:
+        values = [kind(tok) for kind, tok in zip(kinds, line.split(), strict=True)]
+        if min(values, default=0) >= 0:
+            return values, text[head.end() :]
+    except ValueError:
+        pass
+    raise ValueError(f"{path}: header {line!r} must be {shape}")
+
+
+def read_rows(
+    path: str, text: str, dtype: type, width: int, rows: int | None = None, tag: str | None = None
+) -> tuple[np.ndarray, list[str]]:
+    """The rows of ``text``, the rest of a table file after its header, as
+    one (rows, width) array of ``dtype``, and the rest of each line opening
+    with ``tag``. One regex split cuts out the comment and ``tag`` lines, and
+    one ``np.loadtxt`` call parses the remaining text; ``ValueError`` names
+    the file and, by its place among the rows, a row that does not parse."""
+    tagged = re.escape(tag) if tag else "(?!)"  # (?!) matches nothing
+    parts = re.split(rf"\n\s*(?:#[^\n]*|{tagged}([^\n]*))", text)
+    body = "".join(parts[0::2])
+    # comments=None: a '#' inside a row must fail to parse, not end it.
+    # numpy releases still in their deprecation period parse an integer
+    # token such as "1.5" or "2.0" via a float, truncate it and only issue a
+    # DeprecationWarning; the filter turns that into their ValueError.
+    # Without rows the parser is skipped; it warns on empty input.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            table = (np.loadtxt(body.split("\n"), dtype=dtype, ndmin=2, comments=None)
+                     if body.strip() else np.empty((0, width), dtype))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if table.shape[1] != width or rows not in (None, len(table)):
+        want = f"{width} values per row" if rows is None else f"{rows} rows of {width} values"
+        raise ValueError(f"{path}: {want} expected, got {len(table)} rows of {table.shape[1]}")
+    return table, [line for line in parts[1::2] if line is not None]
+
+
+def write_rows(path: str, header: str, rows: Iterable[Sequence[int | float]], *tail: str) -> None:
+    """Write the table file at ``path``: the ``header`` line, one line per
+    row of Python numbers (each written as its ``repr``, which a float reads
+    back from bit for bit), then the ``tail`` lines."""
+    lines = [header, *(" ".join(map(repr, row)) for row in rows), *tail]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def sorted_distinct(a: np.ndarray, most: int | None = None) -> np.ndarray | None:

@@ -570,6 +570,34 @@ def test_a_rejected_text_header_names_the_file_and_the_line(tmp_path, capsys, fl
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# numpy names a row that does not parse by its place among the data rows,
+# counted from 0 after the header, with comment and blank lines left out;
+# that is not its line number in the file.
+@pytest.mark.parametrize(
+    "command, text, names",
+    [
+        (["doubling", "--points", "PATH"], "3 2 2\n0 0\n# c\n0 abc\n1 1\n", "string 'abc' to float64 at row 1,"),
+        (["doubling", "--metric", "PATH"], "2\n0 x\nx 0\n", "string 'x' to float64 at row 0,"),
+        (["analyze", "PATH", "--alpha", "1.0"], "3 2\n0 1\n\n0 1.5\n", "string '1.5' to int64 at row 1,"),
+        (["analyze", "PATH", "--alpha", "1.0"], "# c\na b\n0 1\n", "header 'a b' must be 'n <edge count>', two"),
+    ],
+    ids=["points-token", "metric-token", "edge-token", "edge-header"],
+)
+def test_a_rejected_text_row_names_the_file_and_the_row(tmp_path, capsys, command, text, names):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert main([str(path) if arg == "PATH" else arg for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and names in err
+
+
+def test_a_malformed_sweep_config_names_the_file_and_the_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("family=gnp\nbogus line\n")
+    assert main(["experiment", "--kind", "sweep", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line 2: malformed config line: 'bogus line'\n"
+
+
 def test_a_second_call_keeps_nothing_of_the_first(tmp_path, capsys):
     """``main`` reuses one parser per process: a call that omits the options
     an earlier call set (--out, --seed) behaves as it does on its own."""

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -157,6 +158,14 @@ def test_parse_config(tmp_path):
     bad.write_text("family gnp\n")
     with pytest.raises(ValueError):
         parse_config(str(bad))
+
+
+def test_a_malformed_config_line_names_the_file_and_the_line_number(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("# sweep\nfamily=gnp\n\nbogus line  # note\nn=8\n")
+    message = f"{cfg}: line 4: malformed config line: 'bogus line'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_config(str(cfg))
 
 
 # (result, SHA-256 of its results_to_json) for every Monte Carlo kind, with

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -294,3 +295,28 @@ def test_reader_parity_table(tmp_path, name):
     else:
         g = read_edge_list(str(path))
         assert (g.n, g.rows, g.blocks) == want
+
+
+# The bytes ``write_edge_list`` wrote for each graph, or their SHA-256 when
+# long, recorded from the writer of the line-by-line reader.
+WRITER_BYTES = {
+    "path": (lambda: gen_named("path", 4), b"4 3\n0 1\n1 2\n2 3\n"),
+    "no edges": (lambda: from_edge_list(3, []), b"3 0\n"),
+    "planted, with blocks": (
+        lambda: gen_planted_partition([3, 2], 0.9, 0.3, 5),
+        b"5 6\n0 1\n0 2\n0 4\n1 2\n2 3\n2 4\nblocks: 0 0 0 1 1\n",
+    ),
+    "G(60, 0.3)": (lambda: gen_gnp(60, 0.3, 2), "dbb1016c087e5398b0e6b0d17d021c41b15d744aca3dc6ac18d40dedf8c63318"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_BYTES))
+def test_edge_list_writer_keeps_its_bytes(tmp_path, name):
+    build, want = WRITER_BYTES[name]
+    path = tmp_path / "g.el"
+    g = build()
+    write_edge_list(g, str(path))
+    data = path.read_bytes()
+    assert (data if isinstance(want, bytes) else hashlib.sha256(data).hexdigest()) == want
+    back = read_edge_list(str(path))
+    assert (back.rows, back.blocks) == (g.rows, g.blocks)

@@ -4,7 +4,8 @@ tests may import it. Every module declares its public names in ``__all__``.
 No verb imports ``numpy.ma``, and no single-process run a process pool.
 Every module parses under the Python 3.10 grammar, the ``requires-python``
 floor. Only ``util`` parses JSON, so every document read goes through its
-one loader and member reader."""
+one loader and member reader, and only ``util`` parses text tables, so every
+edge list, metric and point set read goes through its one row parser."""
 
 import ast
 import importlib
@@ -67,6 +68,27 @@ def test_only_util_parses_json():
         for line in _json_parses(path)
     ]
     assert offenders == []
+
+
+def _table_parses(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and node.attr == "loadtxt":
+            yield node.lineno
+        elif isinstance(node, ast.Import) and any(alias.name == "warnings" for alias in node.names):
+            yield node.lineno
+
+
+def test_only_util_parses_text_tables():
+    files = sorted((ROOT / "src" / "presdim").rglob("*.py"))
+    assert len(files) > 5
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in files
+        if path.name != "util.py"
+        for line in _table_parses(path)
+    ]
+    assert offenders == []
+    assert list(_table_parses(ROOT / "src" / "presdim" / "util.py"))
 
 
 def test_every_exported_name_resolves():

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from presdim import graph, metric
 from presdim.graph import from_edge_list, gen_gnp, gen_named
 from presdim.construct import pseudo_metric_embedding, shortest_path_metric
+from presdim.partition import clique_cover
 from presdim.preserve import check
 from presdim.metric import (
     METRIC_TOL,
@@ -192,6 +194,27 @@ def test_exact_mode_limits():
         packing_number(m, None, 0.5, mode="exact")
     with pytest.raises(ValueError):
         doubling_dimension(_uniform(16), mode="exact")
+
+
+@pytest.mark.parametrize("count", [covering_number, packing_number])
+def test_an_unknown_mode_is_refused_on_empty_input(count):
+    with pytest.raises(ValueError, match="^mode must be 'exact' or 'greedy'$"):
+        count(FiniteMetric(np.zeros((0, 0))), None, 1.0, mode="bogus")
+
+
+@pytest.mark.parametrize(
+    "search, message",
+    [
+        (lambda: covering_number(_uniform(23), None, 0.5), "exact covering limited to |subset| <= 22, got 23"),
+        (lambda: packing_number(_uniform(23), None, 0.5), "exact packing limited to |subset| <= 22, got 23"),
+        (lambda: doubling_dimension(_uniform(15)), "exact doubling limited to n <= 14, got 15"),
+        (lambda: clique_cover(gen_named("path", 21)), "exact clique cover limited to n <= 20, got 21"),
+    ],
+    ids=["covering", "packing", "doubling", "clique-cover"],
+)
+def test_an_exact_search_over_its_limit_names_the_limit_and_the_size(search, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        search()
 
 
 def test_doubling_examples():
@@ -671,6 +694,106 @@ def test_points_serialization_round_trip(tmp_path):
     write_points(p, str(path))
     back = read_points(str(path))
     assert np.array_equal(back.points, p.points) and back.norm == math.inf
+
+
+# Outcome of ``read_points`` and ``read_metric`` on each text: the point set
+# (n, d, norm, rows) or distance matrix (n, rows) read, or the type of the
+# error raised. Recorded from the line-by-line readers these tables were
+# written against; the one change since is "underscore token", which Python's
+# ``float`` read as 10.0 and numpy's parser refuses.
+POINTS_READER_PARITY = {
+    "comment before the header": ("# c\n  # d\n2 2 2\n0 1\n1 0\n", (2, 2, 2.0, [[0.0, 1.0], [1.0, 0.0]])),
+    "indented comment": ("2 2 2\n0 1\n \t # c\n1 0\n", (2, 2, 2.0, [[0.0, 1.0], [1.0, 0.0]])),
+    "CRLF endings": ("2 2 2\r\n0 1\r\n1 0\r\n", (2, 2, 2.0, [[0.0, 1.0], [1.0, 0.0]])),
+    "tab-separated": ("2\t2\t2\n0\t1\n\t1 \t0\t\n", (2, 2, 2.0, [[0.0, 1.0], [1.0, 0.0]])),
+    "blank lines": ("\n2 2 2\n\n0 1\n\n\n1 0\n\n", (2, 2, 2.0, [[0.0, 1.0], [1.0, 0.0]])),
+    "signed tokens": ("2 2 1\n+1 -2.5e0\n-0 +0.5\n", (2, 2, 1.0, [[1.0, -2.5], [-0.0, 0.5]])),
+    "0 points": ("0 3 inf\n", (0, 3, math.inf, [])),
+    "inline comment": ("2 2 2\n0 1 # c\n1 0\n", ValueError),
+    "ragged rows": ("2 2 2\n0\n1 1 0\n", ValueError),
+    "too many rows": ("2 2 2\n0 1\n1 0\n2 2\n", ValueError),
+    "too few rows": ("2 2 2\n0 1\n", ValueError),
+    "non-numeric token": ("2 2 2\n0 1\n1 abc\n", ValueError),
+    "d = 0 with n > 0": ("2 0 2\n\n\n", ValueError),
+    "inf coordinate": ("2 2 2\n0 inf\n1 0\n", ValueError),
+    "underscore token": ("1 1 2\n1_0\n", ValueError),  # (1, 1, 2.0, [[10.0]]) before
+}
+METRIC_READER_PARITY = {
+    "comment before the header": ("# c\n  # d\n2\n0 1\n1 0\n", (2, [[0.0, 1.0], [1.0, 0.0]])),
+    "indented comment": ("2\n0 1\n \t # c\n1 0\n", (2, [[0.0, 1.0], [1.0, 0.0]])),
+    "CRLF endings": ("2\r\n0 1\r\n1 0\r\n", (2, [[0.0, 1.0], [1.0, 0.0]])),
+    "tab-separated": ("2\n0\t1\n\t1 \t0\t\n", (2, [[0.0, 1.0], [1.0, 0.0]])),
+    "blank lines": ("\n2\n\n0 1\n\n\n1 0\n\n", (2, [[0.0, 1.0], [1.0, 0.0]])),
+    "signed tokens": ("2\n+0 +1.5\n1.5e0 -0\n", (2, [[0.0, 1.5], [1.5, -0.0]])),
+    "0 points": ("0\n", (0, [])),
+    "inline comment": ("2\n0 1 # c\n1 0\n", ValueError),
+    "ragged rows": ("2\n0\n1 1 0\n", ValueError),
+    "too many rows": ("2\n0 1\n1 0\n0 0\n", ValueError),
+    "too few rows": ("2\n0 1\n", ValueError),
+    "non-numeric token": ("2\n0 x\nx 0\n", ValueError),
+    "inf distance": ("2\n0 inf\ninf 0\n", ValueError),
+    "underscore token": ("2\n0 1_0\n1_0 0\n", ValueError),  # (2, [[0.0, 10.0], [10.0, 0.0]]) before
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "kind, name", [("points", name) for name in sorted(POINTS_READER_PARITY)]
+    + [("metric", name) for name in sorted(METRIC_READER_PARITY)]
+)
+def test_text_reader_parity_table(tmp_path, kind, name):
+    text, want = (POINTS_READER_PARITY if kind == "points" else METRIC_READER_PARITY)[name]
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode())
+    read = read_points if kind == "points" else read_metric
+    if isinstance(want, type):
+        with pytest.raises(want, match=f"^{re.escape(str(path))}: "):
+            read(str(path))
+        return
+    got = read(str(path))
+    values = got.points if kind == "points" else got.dist
+    assert ((got.n, got.dim, got.norm) if kind == "points" else (got.n,)) + (values.tolist(),) == want
+    assert np.signbit(values).tolist() == np.signbit(np.reshape(want[-1], values.shape)).tolist()  # -0.0 stays
+
+
+_WRITER_POINTS = np.array([[0.1, 1e300, -2.5], [1 / 3, -0.0, 7.0], [-1e-300, 2.0, 1e300]])
+
+# The bytes ``write_points`` and ``write_metric`` wrote for the points above
+# and their distance matrix in each norm, and for no points, recorded from
+# the writers of the line-by-line readers.
+WRITER_BYTES = {
+    1.0: (
+        b"3 3 1\n0.1 1e+300 -2.5\n0.3333333333333333 -0.0 7.0\n-1e-300 2.0 1e+300\n",
+        b"3\n0.0 1e+300 2e+300\n1e+300 0.0 1e+300\n2e+300 1e+300 0.0\n",
+        b"0 2 1\n",
+    ),
+    2.0: (
+        b"3 3 2\n0.1 1e+300 -2.5\n0.3333333333333333 -0.0 7.0\n-1e-300 2.0 1e+300\n",
+        b"3\n0.0 1e+300 1.4142135623730952e+300\n1e+300 0.0 1e+300\n1.4142135623730952e+300 1e+300 0.0\n",
+        b"0 2 2\n",
+    ),
+    math.inf: (
+        b"3 3 inf\n0.1 1e+300 -2.5\n0.3333333333333333 -0.0 7.0\n-1e-300 2.0 1e+300\n",
+        b"3\n0.0 1e+300 1e+300\n1e+300 0.0 1e+300\n1e+300 1e+300 0.0\n",
+        b"0 2 inf\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("norm", sorted(WRITER_BYTES))
+def test_text_writers_keep_their_bytes(tmp_path, norm):
+    points_bytes, metric_bytes, empty_bytes = WRITER_BYTES[norm]
+    path = tmp_path / "out.txt"
+    p = PointSet(_WRITER_POINTS, norm=norm)
+    write_points(p, str(path))
+    assert path.read_bytes() == points_bytes
+    assert read_points(str(path)).points.tobytes() == _WRITER_POINTS.tobytes()
+    write_metric(FiniteMetric(p.distance_matrix()), str(path))
+    assert path.read_bytes() == metric_bytes
+    write_points(PointSet(np.zeros((0, 2)), norm=norm), str(path))
+    assert path.read_bytes() == empty_bytes
+    write_metric(FiniteMetric(np.zeros((0, 0))), str(path))
+    assert path.read_bytes() == b"0\n"
 
 
 def test_l2_distances_rescale_overflowing_squares():
