@@ -214,8 +214,7 @@ class GraphAnalysis:
 
     @cached_property
     def lam(self) -> float:
-        """Top adjacency eigenvalue of the quotient, read only by the spectral
-        rule (see ``graph.spectrum_top2`` for why it is not read eagerly)."""
+        """Top adjacency eigenvalue of the quotient, read only by the spectral rule."""
         return spectrum_top2(self.quotient)[0]
 
     @cached_property

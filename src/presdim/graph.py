@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .util import read_header, read_rows, write_rows
+from .util import one_blas_thread, read_header, read_rows, write_rows
 
 __all__ = [
     "Graph",
@@ -632,12 +632,16 @@ def quotient_by_neighborhood(g: Graph) -> Graph:
 
 def spectrum_top2(g: Graph) -> tuple[float, float]:
     """Two largest adjacency eigenvalues (second repeats the first when n=1), by the package's one
-    ``eigvalsh``: BLAS worker threads spin for a while after it, so call it only where it is read."""
+    ``eigvalsh``, run on one BLAS thread. From n = 65 OpenBLAS wakes a second thread for it, which
+    then spins: on 2 vCPUs, about 0.13 s of CPU after under 1 ms of work at n = 80. Two threads speed
+    the call up only from n in the hundreds (60–84 against 100–118 ms at n = 1000), where λ is read
+    once per seconds-long report."""
     if g.n < 1:
         raise ValueError("spectrum of the empty vertex set is undefined")
     if g.n == 1:
         return (0.0, 0.0)
-    evs = np.linalg.eigvalsh(g.adjacency_matrix())
+    with one_blas_thread():
+        evs = np.linalg.eigvalsh(g.adjacency_matrix())
     return (float(evs[-1]), float(evs[-2]))
 
 

@@ -1,22 +1,27 @@
-"""Small numeric helpers shared across modules, and the two boundaries of
-outside data: ``dump_json``, ``load_json`` and ``read_members`` write, parse
-and read every JSON document; ``write_rows``, ``read_header`` and
-``read_rows`` write and read every text table."""
+"""Small numeric helpers shared across modules, the two boundaries of
+outside data, and the one foreign call: ``dump_json``, ``load_json`` and
+``read_members`` write, parse and read every JSON document; ``write_rows``,
+``read_header`` and ``read_rows`` write and read every text table; and
+``one_blas_thread`` sets the thread count of the BLAS numpy loaded."""
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import re
 import warnings
+from contextlib import contextmanager
+from functools import cache
 from itertools import chain
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
     "dump_json", "load_json", "read_members", "json_float", "json_int", "json_bool", "json_str", "json_float_pair",
     "json_index_list", "json_array", "read_header", "read_rows", "write_rows", "int_ceil", "sorted_distinct",
+    "one_blas_thread",
 ]
 
 _TOL = 1e-9
@@ -147,8 +152,9 @@ _HEADER = re.compile(r"(?:\s*#[^\n]*)*\s*([^\n]*)")
 def read_header(path: str, shape: str, *kinds: Callable[[str], Any]) -> tuple[list, str]:
     """The header tokens of the table file at ``path``, each read by its kind
     in ``kinds``, and the text after the header line; ``ValueError`` names the
-    file and the line, which must be ``shape``, when a kind refuses a token or
-    a value is negative (a header holds counts and norms)."""
+    file and the line, which must be ``shape``, when a kind refuses a token, a
+    token holds a ``_`` or a value is negative (a header holds counts and
+    norms)."""
     with open(path) as fh:
         text = fh.read()
     head = _HEADER.match(text)
@@ -157,7 +163,8 @@ def read_header(path: str, shape: str, *kinds: Callable[[str], Any]) -> tuple[li
         raise ValueError(f"{path}: empty file")
     try:
         values = [kind(tok) for kind, tok in zip(kinds, line.split(), strict=True)]
-        if min(values, default=0) >= 0:
+        # int and float read "1_0" as 10; np.loadtxt, the row parser, refuses it
+        if "_" not in line and min(values, default=0) >= 0:
             return values, text[head.end() :]
     except ValueError:
         pass
@@ -186,7 +193,14 @@ def read_rows(
             table = (np.loadtxt(body.split("\n"), dtype=dtype, ndmin=2, comments=None)
                      if body.strip() else np.empty((0, width), dtype))
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        # A row of the wrong length is named by its place counted from 0, as
+        # numpy's token errors count; numpy's own message for a ragged row
+        # counts from 1 and advises options of its own.
+        held = [len(line.split()) for line in body.split("\n") if line.strip()]
+        row = next((row for row, count in enumerate(held) if count != width), None)
+        if row is None:
+            raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {width} values per row expected, got {held[row]} at row {row}") from None
     if table.shape[1] != width or rows not in (None, len(table)):
         want = f"{width} values per row" if rows is None else f"{rows} rows of {width} values"
         raise ValueError(f"{path}: {want} expected, got {len(table)} rows of {table.shape[1]}")
@@ -215,3 +229,48 @@ def sorted_distinct(a: np.ndarray, most: int | None = None) -> np.ndarray | None
     if most is not None and np.count_nonzero(fresh) > most:
         return None
     return ordered[fresh]
+
+
+# -- BLAS threads ------------------------------------------------------------------
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the body on one OpenBLAS thread and restore the caller's thread
+    count after it, also when the body raises. Where numpy loaded no
+    OpenBLAS that this finds (MKL, Accelerate, a system without
+    ``/proc/self/maps``) the body runs as it stands."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+@cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The thread count getter and setter of the OpenBLAS mapped into this
+    process, found on first use, or None. numpy's wheels bundle it with the
+    symbols prefixed ``scipy_`` and, for 64-bit integers, suffixed ``64_``."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return None
+    for lib in libs:
+        for prefix in ("scipy_", ""):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.restype, get.argtypes = ctypes.c_int, []
+                    put.restype, put.argtypes = None, [ctypes.c_int]
+                    return get, put
+    return None

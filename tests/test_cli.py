@@ -556,8 +556,9 @@ def test_doubling_rejects_points_off_their_header(tmp_path, text):
         ("--points", "3 2", "'n d p', two nonnegative integers and a norm p of 1, 2 or inf"),
         ("--metric", "x", "'n', one nonnegative integer"),
         ("--metric", "2 2", "'n', one nonnegative integer"),
+        ("--metric", "1_0", "'n', one nonnegative integer"),
     ],
-    ids=["points-norm-3", "points-norm-abc", "points-two-tokens", "metric-x", "metric-two-tokens"],
+    ids=["points-norm-3", "points-norm-abc", "points-two-tokens", "metric-x", "metric-two-tokens", "metric-underscore"],
 )
 def test_a_rejected_text_header_names_the_file_and_the_line(tmp_path, capsys, flag, header, shape):
     path = tmp_path / "input.txt"
@@ -572,7 +573,8 @@ def test_a_rejected_text_header_names_the_file_and_the_line(tmp_path, capsys, fl
 
 # numpy names a row that does not parse by its place among the data rows,
 # counted from 0 after the header, with comment and blank lines left out;
-# that is not its line number in the file.
+# that is not its line number in the file. A row of the wrong length is
+# named the same way.
 @pytest.mark.parametrize(
     "command, text, names",
     [
@@ -580,8 +582,9 @@ def test_a_rejected_text_header_names_the_file_and_the_line(tmp_path, capsys, fl
         (["doubling", "--metric", "PATH"], "2\n0 x\nx 0\n", "string 'x' to float64 at row 0,"),
         (["analyze", "PATH", "--alpha", "1.0"], "3 2\n0 1\n\n0 1.5\n", "string '1.5' to int64 at row 1,"),
         (["analyze", "PATH", "--alpha", "1.0"], "# c\na b\n0 1\n", "header 'a b' must be 'n <edge count>', two"),
+        (["doubling", "--points", "PATH"], "3 2 2\n0 1\n1\n2 2\n", ": 2 values per row expected, got 1 at row 1\n"),
     ],
-    ids=["points-token", "metric-token", "edge-token", "edge-header"],
+    ids=["points-token", "metric-token", "edge-token", "edge-header", "points-ragged"],
 )
 def test_a_rejected_text_row_names_the_file_and_the_row(tmp_path, capsys, command, text, names):
     path = tmp_path / "input.txt"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from presdim import util
 from presdim.graph import (
     GenerationError,
     Graph,
@@ -164,6 +165,45 @@ def test_spectrum_closed_forms():
     assert spectrum_top2(gen_named("empty", 4)) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("n", [64, 65, 80])  # from n = 65 two BLAS threads would run the call
+def test_spectrum_on_one_blas_thread_matches_eigvalsh(n):
+    g = gen_gnp(n, 0.5, n)
+    evs = np.linalg.eigvalsh(g.adjacency_matrix())
+    assert spectrum_top2(g) == pytest.approx((evs[-1], evs[-2]), rel=1e-12, abs=0)
+
+
+def test_spectrum_restores_the_blas_thread_count(monkeypatch):
+    threads = util._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy loaded no OpenBLAS whose thread count can be set")
+    get, put = threads
+    before = get()
+    put(2)
+    try:
+        g = gen_gnp(80, 0.5, 1)
+        spectrum_top2(g)
+        assert get() == 2
+        seen = []
+
+        def failing_eigvalsh(a):
+            seen.append(get())
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing_eigvalsh)
+        with pytest.raises(np.linalg.LinAlgError):
+            spectrum_top2(g)
+        assert seen == [1] and get() == 2
+    finally:
+        put(before)
+
+
+def test_spectrum_without_openblas_runs_as_it_stands(monkeypatch):
+    g = gen_gnp(80, 0.5, 2)
+    want = spectrum_top2(g)
+    monkeypatch.setattr(util, "_openblas_threads", lambda: None)
+    assert spectrum_top2(g) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_spectrum_bounded_by_degree():
     for seed in range(10):
         g = gen_gnp(18, 0.4, seed)
@@ -280,6 +320,7 @@ READER_PARITY = {
     "0 0": ("0 0\n", (0, (), None)),
     "no edge lines": ("3 0\n", (3, (0, 0, 0), None)),
     "header of three tokens": ("3 1 2\n0 1\n", ValueError),
+    "underscore in a header token": ("1_0 0\n", ValueError),
 }
 
 

@@ -5,7 +5,10 @@ No verb imports ``numpy.ma``, and no single-process run a process pool.
 Every module parses under the Python 3.10 grammar, the ``requires-python``
 floor. Only ``util`` parses JSON, so every document read goes through its
 one loader and member reader, and only ``util`` parses text tables, so every
-edge list, metric and point set read goes through its one row parser."""
+edge list, metric and point set read goes through its one row parser. Only
+``util`` imports ``ctypes``, and the package's one ``np.linalg.eigvalsh``
+runs inside ``graph.spectrum_top2`` under ``util.one_blas_thread``, so no
+eigenvalue read leaves a second BLAS thread spinning unnoticed."""
 
 import ast
 import importlib
@@ -89,6 +92,35 @@ def test_only_util_parses_text_tables():
     ]
     assert offenders == []
     assert list(_table_parses(ROOT / "src" / "presdim" / "util.py"))
+
+
+def test_only_util_imports_ctypes():
+    files = sorted((ROOT / "src" / "presdim").rglob("*.py"))
+    assert len(files) > 5
+    importers = [path.name for path in files if "ctypes" in {name.split(".")[0] for name in _imported_modules(path)}]
+    assert importers == ["util.py"]
+
+
+def _eigvalsh_reads(tree: ast.AST):  # ``np.linalg.eigvalsh`` or ``from numpy.linalg import eigvalsh``
+    return {
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "eigvalsh" or isinstance(node, ast.alias) and node.name == "eigvalsh"
+    }
+
+
+def test_the_one_eigvalsh_runs_on_one_blas_thread():
+    files = sorted((ROOT / "src" / "presdim").rglob("*.py"))
+    assert len(files) > 5
+    reads = {(path.name, line) for path in files for line in _eigvalsh_reads(ast.parse(path.read_text(), str(path)))}
+    graph = ast.parse((ROOT / "src" / "presdim" / "graph.py").read_text())
+    spectrum = next(node for node in graph.body if isinstance(node, ast.FunctionDef) and node.name == "spectrum_top2")
+    scoped = {
+        ("graph.py", line)
+        for node in ast.walk(spectrum)
+        if isinstance(node, ast.With) and "one_blas_thread()" in map(ast.unparse, (item.context_expr for item in node.items))
+        for line in _eigvalsh_reads(ast.Module(body=node.body, type_ignores=[]))
+    }
+    assert len(reads) == 1 and reads == scoped
 
 
 def test_every_exported_name_resolves():
